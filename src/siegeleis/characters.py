@@ -1,10 +1,13 @@
 """Dirichlet characters mod N and their local (p-adic) data.
 
 Characters are addressed externally by a Conrey-style label "N:index" and
-stored internally by CRT components, one per prime power p^a || N.  For odd
-p the component is determined by a discrete logarithm with respect to the
-smallest primitive root mod p^2; for 2^a (a >= 3) with respect to the
-generators -1 and 5.  All values are exact roots of unity (`RootU`).
+stored internally by CRT components, one per prime power p^a || N.  Each
+component holds integer exponents against fixed generators of (Z/p^a)^x:
+the smallest primitive root mod p^2 for odd p, and -1 and 5 for p = 2.
+Derived characters (chi_D, chi_D * eta, eta^k) are built component by
+component, so conductors, primitive cores and Conrey indices come in closed
+form and no character is ever expanded into a table of its values.  All
+values are exact roots of unity (`RootU`).
 
 The attached idele class character has local components chi_p determined by
 
@@ -22,12 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import factorize, is_prime, kronecker_symbol, valuation
+from .arith import factorize, fundamental_discriminant, is_prime, valuation
 from .cyclotomic import Cyclotomic, RootU
 
 __all__ = [
     "DirichletCharacter",
-    "GenericCharacter",
     "LocalCharacterData",
     "characters_mod",
     "primitive_characters_mod",
@@ -66,70 +68,91 @@ def _dlog_table(p: int, a: int) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _dlog2_table(a: int) -> dict[int, tuple[int, int]]:
-    """x -> (eps, ind5) with x = (-1)^eps 5^ind5 mod 2^a, for a >= 3."""
+def _log5_table(a: int) -> dict[int, int]:
+    """x -> i with x = +-5^i mod 2^a, for odd x."""
     q = 2**a
-    table = {}
-    for eps in (0, 1):
-        x = q - 1 if eps else 1
-        for i in range(q // 4):
-            table[x] = (eps, i)
-            x = x * 5 % q
+    table, x = {}, 1
+    for i in range(max(q // 4, 1)):
+        table[x] = table[q - x] = i
+        x = x * 5 % q
     return table
 
 
-class _Component:
-    """Conrey component of a character at one prime power p^a."""
+@lru_cache(maxsize=None)
+def _generators(p: int, a: int) -> tuple[tuple[int, dict[int, int], int], ...]:
+    """The cyclic factors of (Z/p^a)^x, a >= 1, as (m, log table mod m, order).
 
-    def __init__(self, p: int, a: int, index: int):
-        self.p, self.a = p, a
+    Odd p: one factor, generated by `_primitive_root(p)`, of order phi(p^a).
+    p = 2: the sign, generated by -1 and read mod 4, then the factor
+    generated by 5 and read mod 2^a; their orders 2 and 2^(a-2) drop to 1
+    where the generator is trivial (a <= 2).
+    """
+    if p != 2:
         q = p**a
-        self.q = q
-        self.index = index % q
-        if p == 2:
-            if a == 1:
-                self._kind = "trivial"
-            elif a == 2:
-                self._kind = "two"
-                self._aj = 0 if self.index % 4 == 1 else 1
-            else:
-                self._kind = "two_big"
-                self._aj, self._bj = _dlog2_table(a)[self.index]
-        else:
-            self._kind = "odd"
-            self._indj = _dlog_table(p, a)[self.index]
+        return ((q, _dlog_table(p, a), q - q // p),)
+    sign = (4, {1: 0, 3: 1}, 2) if a >= 2 else (2, {1: 0}, 1)
+    return (sign, (2**a, _log5_table(a), max(2 ** (a - 2), 1)))
 
-    def exponent(self, x: int) -> Fraction | None:
-        """Exponent t with component(x) = e(t); None when p | x."""
-        x %= self.q
-        if math.gcd(x, self.p) != 1:
-            return None
-        if self._kind == "trivial":
-            return Fraction(0)
-        if self._kind == "two":
-            ax = 0 if x % 4 == 1 else 1
-            return Fraction(self._aj * ax, 2)
-        if self._kind == "two_big":
-            ax, bx = _dlog2_table(self.a)[x]
-            return Fraction(self._aj * ax, 2) + Fraction(self._bj * bx, 2 ** (self.a - 2))
-        phi = self.q - self.q // self.p
-        return Fraction(self._indj * _dlog_table(self.p, self.a)[x], phi)
 
-    def conductor(self) -> int:
-        if self._kind == "trivial":
-            return 1
-        if self._kind == "two":
-            return 4 if self._aj else 1
-        if self._kind == "two_big":
-            m5 = 2 ** (self.a - 2) // math.gcd(2 ** (self.a - 2), self._bj)
-            if m5 > 1:
-                return 1 << (valuation(m5, 2) + 2)
-            return 4 if self._aj else 1
-        phi = self.q - self.q // self.p
-        m = phi // math.gcd(phi, self._indj)
-        if m == 1:
-            return 1
-        return self.p ** (valuation(m, self.p) + 1)
+@lru_cache(maxsize=None)
+def _fractions(order: int) -> tuple[Fraction, ...]:
+    """The exponents j / order in [0, 1), indexed by j."""
+    return tuple(Fraction(j, order) for j in range(order))
+
+
+class _Component:
+    """A character of (Z/p^a)^x: generator i of `_generators(p, a)` goes to
+    e(exps[i] / order_i)."""
+
+    __slots__ = ("p", "a", "exps")
+
+    def __init__(self, p: int, a: int, exps):
+        self.p, self.a = p, a
+        self.exps = tuple(e % order for e, (_, _, order) in zip(exps, _generators(p, a)))
+
+    @classmethod
+    def from_index(cls, p: int, a: int, index: int) -> "_Component":
+        """The component at p^a of the character with Conrey index `index`."""
+        return cls(p, a, [table[index % m] for m, table, _ in _generators(p, a)])
+
+    def index(self) -> int:
+        """The Conrey index mod p^a: the product of generator^exponent."""
+        q = self.p**self.a
+        gens = (-1, 5) if self.p == 2 else (_primitive_root(self.p),)
+        return math.prod(pow(g, e, q) for g, e in zip(gens, self.exps)) % q
+
+    def _orders(self) -> list[int]:
+        """The order of the component on each generator."""
+        return [n // math.gcd(n, e) for e, (_, _, n) in zip(self.exps, _generators(self.p, self.a))]
+
+    def order(self) -> int:
+        return math.lcm(*self._orders())
+
+    def conductor_exponent(self) -> int:
+        if self.p == 2:
+            sign, five = self._orders()
+            if five > 1:
+                return valuation(five, 2) + 2
+            return 2 if sign > 1 else 0
+        m = self.order()
+        return valuation(m, self.p) + 1 if m > 1 else 0
+
+    def at(self, b: int) -> "_Component":
+        """The same character of Z_p^x read mod p^b (b >= 1, at least the conductor exponent)."""
+        if b < self.conductor_exponent():
+            raise ValueError(f"conductor {self.p}^{self.conductor_exponent()} does not divide {self.p}^{b}")
+        exps = []
+        for e, (_, _, old), (_, _, new) in zip(self.exps, _generators(self.p, self.a), _generators(self.p, b)):
+            assert e * new % old == 0
+            exps.append(e * new // old)
+        return _Component(self.p, b, exps)
+
+    def __mul__(self, other: "_Component") -> "_Component":
+        assert (self.p, self.a) == (other.p, other.a)
+        return _Component(self.p, self.a, [x + y for x, y in zip(self.exps, other.exps)])
+
+    def __pow__(self, k: int) -> "_Component":
+        return _Component(self.p, self.a, [e * k for e in self.exps])
 
 
 class DirichletCharacter:
@@ -138,15 +161,36 @@ class DirichletCharacter:
     def __init__(self, modulus: int, index: int = 1):
         if modulus < 1:
             raise ValueError("modulus must be positive")
-        index %= max(modulus, 1)
-        if modulus == 1:
-            index = 1
+        index %= modulus
         if modulus > 1 and math.gcd(index, modulus) != 1:
             raise ValueError(f"index {index} not a unit mod {modulus}")
+        self._build(modulus, [_Component.from_index(p, a, index) for p, a in factorize(modulus)])
+
+    @classmethod
+    def _from_components(cls, modulus: int, components: list[_Component]) -> "DirichletCharacter":
+        self = cls.__new__(cls)
+        self._build(modulus, components)
+        return self
+
+    def _build(self, modulus: int, components: list[_Component]) -> None:
+        """Set the label, conductor, order and evaluation terms from the components."""
         self.modulus = modulus
-        self.index = index
-        self._components = [_Component(p, a, index) for p, a in factorize(modulus)] if modulus > 1 else []
-        self._conductor = math.prod(c.conductor() for c in self._components) if self._components else 1
+        self._components = components
+        index = 0
+        for comp in components:
+            q = comp.p**comp.a
+            rest = modulus // q
+            index += comp.index() * rest * pow(rest, -1, q)
+        self.index = index % modulus if modulus > 1 else 1
+        self._conductor = math.prod(comp.p ** comp.conductor_exponent() for comp in components)
+        self._order = math.lcm(1, *(comp.order() for comp in components))
+        # exponent(x) = sum of w * log(x mod m) over the terms, as a multiple of 1/order
+        self._terms = []
+        for comp in components:
+            for e, (m, table, n) in zip(comp.exps, _generators(comp.p, comp.a)):
+                w = e * self._order // n
+                if w:
+                    self._terms.append((m, table, w))
 
     @classmethod
     def from_label(cls, label: str) -> "DirichletCharacter":
@@ -162,15 +206,12 @@ class DirichletCharacter:
 
     def exponent(self, n: int) -> Fraction | None:
         """Exponent t of eta(n) = e(t), or None when gcd(n, N) > 1."""
-        if self.modulus == 1:
-            return Fraction(0)
-        total = Fraction(0)
-        for comp in self._components:
-            t = comp.exponent(n)
-            if t is None:
-                return None
-            total += t
-        return total - (total.numerator // total.denominator)
+        if math.gcd(n, self.modulus) != 1:
+            return None
+        num = 0
+        for m, table, w in self._terms:
+            num += w * table[n % m]
+        return _fractions(self._order)[num % self._order]
 
     def __call__(self, n: int):
         """eta(n) as a RootU, or the integer 0 on non-units."""
@@ -195,25 +236,43 @@ class DirichletCharacter:
         return self._conductor == 1
 
     def order(self) -> int:
-        if self.modulus == 1:
-            return 1
-        return math.lcm(*(self.exponent_order(c) for c in self._components))
-
-    @staticmethod
-    def exponent_order(comp: _Component) -> int:
-        if comp._kind == "trivial":
-            return 1
-        if comp._kind == "two":
-            return 2 if comp._aj else 1
-        if comp._kind == "two_big":
-            m5 = 2 ** (comp.a - 2) // math.gcd(2 ** (comp.a - 2), comp._bj)
-            return max(m5, 2 if comp._aj else 1)
-        phi = comp.q - comp.q // comp.p
-        return phi // math.gcd(phi, comp._indj)
+        return self._order
 
     def is_quadratic(self) -> bool:
         """Order dividing 2 (includes the trivial character)."""
-        return self.order() <= 2
+        return self._order <= 2
+
+    def at_modulus(self, modulus: int) -> "DirichletCharacter":
+        """The character mod `modulus` induced by the same primitive core.
+
+        `modulus` must be a multiple of the conductor.
+        """
+        if modulus < 1 or modulus % self._conductor:
+            raise ValueError(f"conductor {self._conductor} does not divide {modulus}")
+        own = {comp.p: comp for comp in self._components}
+        comps = []
+        for p, b in factorize(modulus):
+            comp = own.get(p)
+            comps.append(comp.at(b) if comp else _Component.from_index(p, b, 1))
+        return DirichletCharacter._from_components(modulus, comps)
+
+    def primitive_core(self) -> "DirichletCharacter":
+        """The primitive character inducing this one."""
+        return self.at_modulus(self._conductor)
+
+    def lost_euler_primes(self) -> list[int]:
+        """Primes dividing the modulus but not the conductor."""
+        return [comp.p for comp in self._components if self._conductor % comp.p]
+
+    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
+        """The pointwise product, as a character mod the lcm of the moduli."""
+        M = math.lcm(self.modulus, other.modulus)
+        pairs = zip(self.at_modulus(M)._components, other.at_modulus(M)._components)
+        return DirichletCharacter._from_components(M, [x * y for x, y in pairs])
+
+    def __pow__(self, k: int) -> "DirichletCharacter":
+        """The pointwise k-th power (k may be negative), mod the same modulus."""
+        return DirichletCharacter._from_components(self.modulus, [comp**k for comp in self._components])
 
     def __eq__(self, other):
         return (
@@ -351,149 +410,32 @@ def local_component(eta: DirichletCharacter, p: int) -> LocalCharacterData:
     return LocalCharacterData(p, n_p, chi_at_p, unit_values)
 
 
-class GenericCharacter:
-    """A (possibly imprimitive) character given by explicit unit values.
+def kronecker_character(D: int) -> DirichletCharacter:
+    """chi_D = (D/.) as a character mod |D|, for D = 1 or a fundamental discriminant.
 
-    Used for pointwise products like chi_D * eta, and for powers eta^k.
-    Stores the full value table mod M; fine for the small moduli that occur.
+    chi_D is the product of the characters of the prime discriminants in D:
+    the Legendre symbol at each odd p | D, and at 2 the character 4:3
+    (chi_-4), 8:5 (chi_8) or 8:3 (chi_-8).  As the odd prime discriminants
+    are 1 mod 4, the 2-part is negative exactly when D / 2^a is 3 mod 4.
     """
-
-    def __init__(self, modulus: int, exponents: dict[int, Fraction]):
-        self.modulus = modulus
-        self._exp = {}
-        for x, t in exponents.items():
-            t = Fraction(t)
-            self._exp[x] = t - (t.numerator // t.denominator)
-
-    @classmethod
-    def from_character(cls, eta) -> "GenericCharacter":
-        M = eta.modulus
-        table = {}
-        for x in range(1, max(M, 2)):
-            if math.gcd(x, M) == 1:
-                t = eta.exponent(x)
-                assert t is not None
-                table[x % M if M > 1 else 1] = t
-        if M == 1:
-            table = {0: Fraction(0)}
-        return cls(M, table)
-
-    def exponent(self, n: int) -> Fraction | None:
-        if self.modulus == 1:
-            return Fraction(0)
-        n %= self.modulus
-        return self._exp.get(n)
-
-    def __call__(self, n: int):
-        t = self.exponent(n)
-        return RootU(t) if t is not None else 0
-
-    def value(self, n: int):
-        return self(n)
-
-    def inverse_value(self, n: int):
-        t = self.exponent(n)
-        return RootU(-t) if t is not None else 0
-
-    def order(self) -> int:
-        if self.modulus == 1:
-            return 1
-        return math.lcm(*(max(t.denominator, 1) for t in self._exp.values()))
-
-    def conductor(self) -> int:
-        M = self.modulus
-        for c in sorted(d for d in _divisors_of(M)):
-            if self._factors_through(c):
-                return c
-        return M
-
-    def _factors_through(self, c: int) -> bool:
-        M = self.modulus
-        for x in range(1, M + 1):
-            if x % c == 1 % c and math.gcd(x, M) == 1 and self.exponent(x) != 0:
-                return False
-        return True
-
-    def primitive_core(self) -> "GenericCharacter":
-        """The primitive character inducing this one."""
-        c = self.conductor()
-        if c == self.modulus:
-            return self
-        table = {}
-        for x in range(1, max(c, 2)):
-            if math.gcd(x, c) != 1:
-                continue
-            lift = x
-            while math.gcd(lift, self.modulus) != 1:
-                lift += c
-            table[x % c if c > 1 else 1] = self.exponent(lift)
-        if c == 1:
-            table = {0: Fraction(0)}
-        return GenericCharacter(c, table)
-
-    def lost_euler_primes(self) -> list[int]:
-        """Primes dividing the modulus but not the conductor."""
-        c = self.conductor()
-        return [p for p, _ in factorize(self.modulus) if c % p != 0] if self.modulus > 1 else []
-
-    def is_quadratic(self) -> bool:
-        return self.order() <= 2
-
-    def __repr__(self):
-        return f"GenericCharacter(mod {self.modulus}, order {self.order()})"
+    if D == 1:
+        return DirichletCharacter(1, 1)
+    if D == 0 or D % 4 not in (0, 1) or fundamental_discriminant(D).f != 1:
+        raise ValueError(f"{D} is not a fundamental discriminant")
+    comps = []
+    for p, a in factorize(D):
+        if p == 2:
+            comps.append(_Component(2, a, (int((D >> a) % 4 == 3), int(a == 3))))
+        else:
+            comps.append(_Component(p, 1, ((p - 1) // 2,)))
+    return DirichletCharacter._from_components(abs(D), comps)
 
 
-def _divisors_of(n: int) -> list[int]:
-    from .arith import divisors
-
-    return divisors(n) if n >= 1 else []
-
-
-def kronecker_character(D: int) -> GenericCharacter:
-    """chi_D as an explicit character mod |D| (D fundamental or 1)."""
-    M = max(abs(D), 1)
-    table = {}
-    for x in range(1, max(M, 2)):
-        if math.gcd(x, M) == 1:
-            s = kronecker_symbol(D, x)
-            table[x % M if M > 1 else 1] = Fraction(0) if s == 1 else Fraction(1, 2)
-    if M == 1:
-        table = {0: Fraction(0)}
-    return GenericCharacter(M, table)
+def product_with_kronecker(eta: DirichletCharacter, D: int) -> DirichletCharacter:
+    """The pointwise product chi_D * eta as a character mod |D| N (D fundamental or 1)."""
+    return (kronecker_character(D) * eta).at_modulus(abs(D) * eta.modulus)
 
 
-def product_with_kronecker(eta, D: int):
-    """The character chi_D * eta mod |D| N, its primitive core, lost primes.
-
-    Returns (product, core, lost) where `product` is the literal pointwise
-    product (zero off units of |D| N), `core` the primitive character
-    inducing it, and `lost` the Euler primes of |D| N absent from the
-    conductor.
-    """
-    N = eta.modulus
-    M = abs(D) * N if D != 0 else N
-    M = max(M, 1)
-    table = {}
-    for x in range(1, max(M, 2)):
-        if math.gcd(x, M) != 1:
-            continue
-        s = kronecker_symbol(D, x)
-        t = eta.exponent(x)
-        if s == 0 or t is None:
-            continue
-        table[x % M if M > 1 else 1] = t + (Fraction(0) if s == 1 else Fraction(1, 2))
-    if M == 1:
-        table = {0: Fraction(0)}
-    product = GenericCharacter(M, table)
-    core = product.primitive_core()
-    return product, core, product.lost_euler_primes()
-
-
-def power_character(eta, k: int) -> GenericCharacter:
-    """eta^k as an explicit character mod N (possibly imprimitive)."""
-    base = GenericCharacter.from_character(eta)
-    table = {}
-    for x, t in base._exp.items():
-        kt = k * t
-        table[x] = kt - (kt.numerator // kt.denominator)
-    return GenericCharacter(eta.modulus, table)
+def power_character(eta: DirichletCharacter, k: int) -> DirichletCharacter:
+    """eta^k as a character mod N (possibly imprimitive)."""
+    return eta**k

@@ -100,7 +100,6 @@ def cmd_expand(args) -> int:
         args.bound,
         suppress_zero=not args.include_zero,
         oracle_policy=args.oracle,
-        jobs=args.jobs,
     )
     _emit([_record_fields(r) for r in recs], args.format, header=_header(spec))
     return EXIT_OK
@@ -218,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--bound", type=int, required=True)
     sp.add_argument("--include-zero", action="store_true")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(fn=cmd_expand)
 
     sp = sub.add_parser("local", help="local factors, closed form vs oracle")

@@ -184,12 +184,30 @@ def _rank2(spec: EisensteinSpec, T: HalfIntegralForm, oracle_policy: str) -> Coe
         val = val * l_quadratic_exact(k - 1, D)
         val = val / zeta(k).value / zeta(2 * k - 2).value
         return CoefficientRecord(T, val.as_fraction(), "exact-rational", notes)
-    # N > 1: numeric assembly
-    locdat = _local_data(spec)
+    # N > 1: the place factors first, so an exactly vanishing K skips the L-values
+    places = []  # (p, chi_p, K or None at a unit place)
+    for p, chi_p in sorted(_local_data(spec).items()):
+        if T.r != 0 and T.r % p:
+            places.append((p, chi_p, None))
+            notes.append(f"p={p}:unit")
+            continue
+        res = K_closed_form(RamifiedPlaceInput(p, chi_p, T, k))
+        if res.provenance == "needs-oracle" or oracle_policy == "force":
+            if oracle_policy == "forbid":
+                raise UnsupportedPlaceError(p)
+            from .oracle import k_oracle
+
+            K_val, bound = k_oracle(T, chi_p, k)
+            places.append((p, chi_p, K_val))
+            notes.append(f"p={p}:K-oracle(tail<{float(bound):.2e})")
+        elif res.value == 0:
+            # exactly 0, but numeric like every other rank-2 value at N > 1: prints 0.0,0.0
+            return CoefficientRecord(T, mpmath.mpc(0), "zero", [f"p={p}:K-closed-form"])
+        else:
+            places.append((p, chi_p, res.value))
+            notes.append(f"p={p}:K-closed-form")
     e_hat = split_by_level(e, N).r_Nhat
     f_hat = split_by_level(f, N).r_Nhat
-    prod_char, _, _ = product_with_kronecker(eta, D)
-    eta_sq = power_character(eta, 2)
     from .localfactors import h_tilde
 
     with mp_workdps():
@@ -198,28 +216,15 @@ def _rank2(spec: EisensteinSpec, T: HalfIntegralForm, oracle_policy: str) -> Coe
         val *= mpmath.mpf(N) ** (2 - 2 * k) * mpmath.mpf(f_hat) ** (3 - 2 * k)
         val *= to_mpc(eta(f_hat * f_hat))
         val *= to_mpc(h_tilde(D, k, eta, e_hat, f_hat))
-        val *= dirichlet_l(k - 1, prod_char).to_mpc()
-        val /= dirichlet_l(k, eta).to_mpc() * dirichlet_l(2 * k - 2, eta_sq).to_mpc()
+        val *= dirichlet_l(k - 1, product_with_kronecker(eta, D)).to_mpc()
+        val /= dirichlet_l(k, eta).to_mpc() * dirichlet_l(2 * k - 2, power_character(eta, 2)).to_mpc()
         val *= to_mpc(gauss_sum(eta))
-        for p, chi_p in sorted(locdat.items()):
-            n_p = chi_p.n_p
-            if T.r != 0 and T.r % p:
+        for p, chi_p, K_val in places:
+            if K_val is None:
                 val *= to_mpc(chi_p.value(T.r))
-                notes.append(f"p={p}:unit")
                 continue
-            res = K_closed_form(RamifiedPlaceInput(p, chi_p, T, k))
-            if res.provenance == "needs-oracle" or oracle_policy == "force":
-                if oracle_policy == "forbid":
-                    raise UnsupportedPlaceError(p)
-                from .oracle import k_oracle
-
-                K_val, bound = k_oracle(T, chi_p, k)
-                notes.append(f"p={p}:K-oracle(tail<{float(bound):.2e})")
-            else:
-                K_val = res.value
-                notes.append(f"p={p}:K-closed-form")
-            val *= mpmath.mpf(p) ** (n_p * (2 - k))
-            val *= to_mpc(chi_p.chi_at_p**n_p)
+            val *= mpmath.mpf(p) ** (chi_p.n_p * (2 - k))
+            val *= to_mpc(chi_p.chi_at_p**chi_p.n_p)
             val *= to_mpc(K_val)
         return CoefficientRecord(T, mpmath.mpc(val), "numeric", notes)
 
@@ -229,13 +234,10 @@ def expand(
     trace_bound: int,
     suppress_zero: bool = True,
     oracle_policy: str = "forbid",
-    jobs: int = 1,
 ) -> list[CoefficientRecord]:
     """All coefficients with T positive semidefinite, N^2 | m, n + m <= bound.
 
-    Deterministic order by (n + m, n, r).  Coefficients for distinct T are
-    independent, so they may be computed concurrently; ordering is imposed
-    afterwards.
+    Deterministic order by (n + m, n, r).
     """
     if trace_bound < 0:
         raise ValueError("trace bound must be >= 0")
@@ -249,13 +251,7 @@ def expand(
             rbound = math.isqrt(4 * n * m)
             for r in range(-rbound, rbound + 1):
                 forms.append(HalfIntegralForm(n, r, m))
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(lambda T: coefficient(spec, T, oracle_policy), forms))
-    else:
-        records = [coefficient(spec, T, oracle_policy) for T in forms]
+    records = [coefficient(spec, T, oracle_policy) for T in forms]
     records.sort(key=lambda rec: (rec.T.n + rec.T.m, rec.T.n, rec.T.r))
     if suppress_zero:
         records = [rec for rec in records if not rec.is_zero()]

@@ -26,7 +26,7 @@ from functools import lru_cache
 import mpmath
 
 from .arith import divisors, factorize, moebius
-from .characters import GenericCharacter, kronecker_character
+from .characters import kronecker_character
 from .scalars import Exact, mp_workdps, to_mpc
 
 __all__ = [
@@ -123,12 +123,6 @@ def zeta_series_tail_bound(k: int, terms: int) -> tuple[mpmath.mpf, Fraction]:
     return partial, bound
 
 
-def _as_generic(psi) -> GenericCharacter:
-    if isinstance(psi, GenericCharacter):
-        return psi
-    return GenericCharacter.from_character(psi)
-
-
 def dirichlet_l(k: int, psi) -> LValue:
     """L(k, psi) for k >= 2 and a possibly imprimitive character psi.
 
@@ -138,7 +132,6 @@ def dirichlet_l(k: int, psi) -> LValue:
     """
     if k <= 1:
         raise ValueError("L-values are evaluated only at integers >= 2 here")
-    psi = _as_generic(psi)
     core = psi.primitive_core()
     lost = psi.lost_euler_primes()
     if core.modulus == 1:
@@ -147,12 +140,12 @@ def dirichlet_l(k: int, psi) -> LValue:
             euler = Fraction(1)
             for p in lost:
                 euler *= 1 - Fraction(1, p**k)
-            return LValue(base.value * euler, "exact", k, f"{psi.modulus}:*")
+            return LValue(base.value * euler, "exact", k, psi.label)
         with mp_workdps():
             val = base.value
             for p in lost:
                 val *= 1 - mpmath.mpf(1) / mpmath.mpf(p) ** k
-            return LValue(val, "numeric", k, f"{psi.modulus}:*")
+            return LValue(val, "numeric", k, psi.label)
     c = core.modulus
     with mp_workdps():
         total = mpmath.mpc(0)
@@ -164,7 +157,7 @@ def dirichlet_l(k: int, psi) -> LValue:
         val = total / mpmath.mpf(c) ** k
         for p in lost:
             val *= 1 - to_mpc(core(p)) / mpmath.mpf(p) ** k
-    return LValue(val, "numeric", k, f"{psi.modulus}:*")
+    return LValue(val, "numeric", k, psi.label)
 
 
 def l_quadratic_exact(n: int, D: int) -> Exact:

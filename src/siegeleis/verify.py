@@ -22,7 +22,6 @@ from .arith import (
 )
 from .characters import (
     DirichletCharacter,
-    GenericCharacter,
     LocalCharacterData,
     local_component,
     gauss_sum,

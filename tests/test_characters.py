@@ -5,10 +5,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from siegeleis.arith import factorize
+from siegeleis.arith import divisors, factorize, fundamental_discriminant, kronecker_symbol
 from siegeleis.characters import (
     DirichletCharacter,
-    GenericCharacter,
     characters_mod,
     gauss_sum,
     kronecker_character,
@@ -57,16 +56,20 @@ def test_conductor_primitivity():
     assert induced and all(c.conductor() == 3 for c in induced)
 
 
+def _brute_conductor(chi) -> int:
+    """The least c | modulus with chi trivial on the units = 1 mod c."""
+    M = chi.modulus
+    for c in divisors(M):
+        if all(chi.exponent(x) == 0 for x in range(1 % c, M + 1, c) if math.gcd(x, M) == 1):
+            return c
+    raise AssertionError("the modulus itself always qualifies")
+
+
 def test_conductor_by_restriction():
     # conductor = smallest c with eta trivial on units = 1 mod c
     for N in (8, 9, 12, 15, 16, 24):
         for eta in characters_mod(N):
-            c = eta.conductor()
-            for x in range(1, N + 1):
-                if x % c == 1 % c and math.gcd(x, N) == 1:
-                    assert eta.exponent(x) == 0
-            gen = GenericCharacter.from_character(eta)
-            assert gen.conductor() == c
+            assert eta.conductor() == _brute_conductor(eta)
 
 
 def test_parity():
@@ -91,9 +94,7 @@ def test_gauss_sum_conjugate_identity():
     # G(eta) G(eta-bar) = eta(-1) N for primitive eta, N <= 30, exactly
     for N in range(1, 31):
         for eta in primitive_characters_mod(N):
-            bar = GenericCharacter(
-                N, {x: -t for x, t in GenericCharacter.from_character(eta)._exp.items()}
-            )
+            bar = power_character(eta, -1)
             prod = gauss_sum(eta) * gauss_sum(bar)
             sign = 1 if parity(eta) == 0 else -1
             assert prod.is_rational() and prod.as_fraction() == sign * N
@@ -151,13 +152,13 @@ def test_adelization_product_identity():
 
 def test_product_with_kronecker():
     triv = DirichletCharacter(1, 1)
-    prod, core, lost = product_with_kronecker(triv, 1)
-    assert prod.modulus == 1 and core.modulus == 1 and lost == []
-    prod, core, lost = product_with_kronecker(triv, -4)
-    assert prod.modulus == 4 and prod.conductor() == 4 and core.modulus == 4
+    prod = product_with_kronecker(triv, 1)
+    assert prod.modulus == 1 and prod.primitive_core().modulus == 1 and prod.lost_euler_primes() == []
+    prod = product_with_kronecker(triv, -4)
+    assert prod.modulus == 4 and prod.conductor() == 4 and prod.primitive_core().modulus == 4
     eta4 = DirichletCharacter(4, 3)
-    prod, core, lost = product_with_kronecker(eta4, -4)
-    assert core.modulus == 1 and lost == [2]
+    prod = product_with_kronecker(eta4, -4)
+    assert prod.primitive_core().modulus == 1 and prod.lost_euler_primes() == [2]
     # product really is the pointwise product
     for x in range(1, 16):
         expect = kronecker_character(-4)(x)
@@ -176,15 +177,68 @@ def test_power_character():
     assert quad.order() == 1 and quad.conductor() == 1
 
 
-def test_kronecker_character_matches_symbol():
-    from siegeleis.arith import kronecker_symbol
+def _fundamental_discriminants(bound: int) -> list[int]:
+    return [
+        D
+        for D in range(-bound, bound + 1)
+        if D not in (0, 1) and D % 4 in (0, 1) and fundamental_discriminant(D).f == 1
+    ]
 
-    for D in (-8, -7, -4, -3, 1, 5, 8, 12):
+
+def _rebuilt(chi) -> DirichletCharacter:
+    """The character named by chi's label."""
+    rebuilt = DirichletCharacter.from_label(chi.label)
+    assert rebuilt == chi
+    return rebuilt
+
+
+def test_character_algebra_against_brute_force():
+    # Every eta mod M <= 64 (including the 2- and 3-power moduli 16, 27, 32)
+    # and every fundamental D with |D| <= 100; brute force is kept here.
+    rng = random.Random(5)
+    Ds = _fundamental_discriminants(100)
+    etas = [eta for M in range(1, 65) for eta in characters_mod(M)]
+    for i, eta in enumerate(etas):
+        M = eta.modulus
+        # eta^k is the pointwise k-th power, for every residue
+        for k in (-1, 2, 3):
+            pw = power_character(eta, k)
+            assert pw.modulus == M and pw.conductor() == _brute_conductor(pw)
+            for x in range(M):
+                t = eta.exponent(x)
+                want = None if t is None else (k * t) % 1
+                assert pw.exponent(x) == want
+            _rebuilt(pw)
+        # chi_D * eta for two discriminants per eta; each D meets many etas
+        for D in (Ds[i % len(Ds)], Ds[(7 * i + 3) % len(Ds)]):
+            prod = product_with_kronecker(eta, D)
+            L = abs(D) * M
+            assert prod.modulus == L
+            c = prod.conductor()
+            assert c == _brute_conductor(prod)
+            core = prod.primitive_core()
+            assert core.modulus == c and core.is_primitive()
+            assert prod.lost_euler_primes() == [p for p, _ in factorize(L) if c % p]
+            again = _rebuilt(prod)
+            for x in rng.sample(range(L), min(L, 64)) + [-1, 1]:
+                sym, ex = kronecker_symbol(D, x), eta.exponent(x)
+                want = None if sym == 0 or ex is None else (ex + (0 if sym == 1 else Fraction(1, 2))) % 1
+                assert prod.exponent(x) == want == again.exponent(x)
+                if math.gcd(x, L) == 1:
+                    assert core.exponent(x) == want
+
+
+def test_kronecker_character_matches_symbol():
+    # every fundamental |D| <= 200, and D = 1
+    for D in [1] + _fundamental_discriminants(200):
         chi = kronecker_character(D)
-        for x in range(1, 40):
+        assert chi.modulus == abs(D) and chi.is_primitive() and chi.order() == (1 if D == 1 else 2)
+        assert chi.conductor() == _brute_conductor(chi)
+        _rebuilt(chi)
+        for x in range(-abs(D), abs(D) + 40):
             sym = kronecker_symbol(D, x)
-            val = chi(x)
-            if sym == 0:
-                assert val == 0
-            else:
-                assert val == RootU(0 if sym == 1 else Fraction(1, 2))
+            assert chi.exponent(x) == (None if sym == 0 else Fraction(0 if sym == 1 else 1, 2))
+            assert chi(x) == (0 if sym == 0 else RootU(0 if sym == 1 else Fraction(1, 2)))
+    for D in (0, 2, -1, 9, -12, 20):
+        with pytest.raises(ValueError):
+            kronecker_character(D)

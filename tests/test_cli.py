@@ -57,6 +57,26 @@ def test_expand_stream(capsys):
     assert by_T[(1, 0, 0)] == "240" and by_T[(0, 0, 1)] == "240"
 
 
+def test_expand_closed_form_zero_is_zero_record(capsys):
+    # At eta = 3:2 the closed-form K at p = 3 is exactly 0 for five T of
+    # trace <= 12; they are zero records, not numeric values 0.
+    vanishing = {(1, 0, 9), (2, 0, 9), (3, -9, 9), (3, 0, 9), (3, 9, 9)}
+    args = ("expand", "-k", "5", "-c", "3:2", "--bound", "12")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    records = [json.loads(ln) for ln in out.strip().splitlines()[1:]]
+    assert len(records) == 46
+    assert all(r["mode"] == "numeric" for r in records)
+    assert all(any(float(x) != 0 for x in r["value"].split(",")) for r in records)
+    assert not vanishing & {(r["n"], r["r"], r["m"]) for r in records}
+    code, out, _ = run(capsys, *args, "--include-zero")
+    assert code == 0
+    every = {(r["n"], r["r"], r["m"]): r for r in map(json.loads, out.strip().splitlines()[1:])}
+    for T in vanishing:
+        assert every[T]["mode"] == "zero" and every[T]["value"] == "0.0,0.0"
+        assert every[T]["notes"] == "p=3:K-closed-form"
+
+
 def test_expand_csv(capsys):
     code, out, _ = run(capsys, "expand", "-k", "4", "-c", "1:1", "--bound", "1", "--format", "csv")
     lines = out.strip().splitlines()

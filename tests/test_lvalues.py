@@ -3,7 +3,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from siegeleis.characters import DirichletCharacter, GenericCharacter, kronecker_character
+from siegeleis.characters import DirichletCharacter, kronecker_character
 from siegeleis.lvalues import (
     bernoulli,
     bernoulli_polynomial,
@@ -57,7 +57,7 @@ def test_dirichlet_l_catalan():
 
 def test_dirichlet_l_imprimitive_euler_factor():
     # trivial character mod 2: L(k) = (1 - 2^-k) zeta(k)
-    triv2 = GenericCharacter(2, {1: Fraction(0)})
+    triv2 = DirichletCharacter(2, 1)
     with mp_workdps():
         for k in (2, 3, 5):
             lv = dirichlet_l(k, triv2)
@@ -74,12 +74,11 @@ def test_dirichlet_l_induced_characters():
             for eta in characters_mod(N):
                 if eta.is_primitive():
                     continue
-                gen = GenericCharacter.from_character(eta)
-                core = gen.primitive_core()
+                core = eta.primitive_core()
                 k = 3
-                whole = dirichlet_l(k, gen).to_mpc()
+                whole = dirichlet_l(k, eta).to_mpc()
                 val = dirichlet_l(k, core).to_mpc()
-                for p in gen.lost_euler_primes():
+                for p in eta.lost_euler_primes():
                     val *= 1 - to_mpc(core(p)) / mpmath.mpf(p) ** k
                 assert abs(whole - val) < mpmath.mpf(10) ** -40
 
