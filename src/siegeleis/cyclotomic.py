@@ -39,6 +39,18 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     return tuple(poly)
 
 
+@lru_cache(maxsize=None)
+def _phi_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """deg Phi_n and the pairs (j, c_j) with c_j != 0 for j < deg, as ints."""
+    phi = cyclotomic_polynomial(n)
+    terms = []
+    for j, c in enumerate(phi[:-1]):
+        assert c.denominator == 1
+        if c:
+            terms.append((j, int(c)))
+    return len(phi) - 1, tuple(terms)
+
+
 def _poly_divide_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
     """Exact polynomial division (remainder must vanish)."""
     num = list(num)
@@ -131,14 +143,13 @@ class Cyclotomic:
 
     @staticmethod
     def _reduce(n: int, c: list[Fraction]) -> list[Fraction]:
-        phi = cyclotomic_polynomial(n)
-        deg = len(phi) - 1
+        deg, terms = _phi_terms(n)
         for i in range(len(c) - 1, deg - 1, -1):
             lead = c[i]
             if lead:
                 c[i] = Fraction(0)
-                for j in range(deg):
-                    c[i - deg + j] -= lead * phi[j]
+                for j, phi_j in terms:
+                    c[i - deg + j] -= lead * phi_j
         return c[:deg] + [Fraction(0)] * max(0, deg - len(c))
 
     @classmethod

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
@@ -109,10 +110,12 @@ class CoefficientRecord:
         return self.mode == "zero"
 
 
-def _local_data(spec: EisensteinSpec):
+@lru_cache(maxsize=None)
+def _spec_invariants(spec: EisensteinSpec):
+    """G(eta) and the pairs (p, chi_p) for p | N in ascending p, once per spec."""
     from .arith import factorize
 
-    return {p: local_component(spec.eta, p) for p, _ in factorize(spec.N)} if spec.N > 1 else {}
+    return gauss_sum(spec.eta), tuple((p, local_component(spec.eta, p)) for p, _ in factorize(spec.N))
 
 
 def coefficient(spec: EisensteinSpec, T: HalfIntegralForm, oracle_policy: str = "forbid") -> CoefficientRecord:
@@ -185,8 +188,9 @@ def _rank2(spec: EisensteinSpec, T: HalfIntegralForm, oracle_policy: str) -> Coe
         val = val / zeta(k).value / zeta(2 * k - 2).value
         return CoefficientRecord(T, val.as_fraction(), "exact-rational", notes)
     # N > 1: the place factors first, so an exactly vanishing K skips the L-values
+    G, local = _spec_invariants(spec)
     places = []  # (p, chi_p, K or None at a unit place)
-    for p, chi_p in sorted(_local_data(spec).items()):
+    for p, chi_p in local:
         if T.r != 0 and T.r % p:
             places.append((p, chi_p, None))
             notes.append(f"p={p}:unit")
@@ -218,7 +222,7 @@ def _rank2(spec: EisensteinSpec, T: HalfIntegralForm, oracle_policy: str) -> Coe
         val *= to_mpc(h_tilde(D, k, eta, e_hat, f_hat))
         val *= dirichlet_l(k - 1, product_with_kronecker(eta, D)).to_mpc()
         val /= dirichlet_l(k, eta).to_mpc() * dirichlet_l(2 * k - 2, power_character(eta, 2)).to_mpc()
-        val *= to_mpc(gauss_sum(eta))
+        val *= to_mpc(G)
         for p, chi_p, K_val in places:
             if K_val is None:
                 val *= to_mpc(chi_p.value(T.r))

@@ -14,6 +14,10 @@ Everything else is numeric at the configured working precision, through the
 Hurwitz-zeta decomposition L(k, psi) = c^(-k) sum_a psi(a) zeta(k, a/c) for
 the primitive core psi mod c, times the finite Euler product restoring the
 imprimitive modulus.
+
+`dirichlet_l` keeps each value per (k, psi, working precision) and
+`l_quadratic_exact` per (n, D), so a value repeated across coefficients is
+computed once.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import mpmath
 
 from .arith import divisors, factorize, moebius
 from .characters import kronecker_character
-from .scalars import Exact, mp_workdps, to_mpc
+from .scalars import Exact, get_precision, mp_workdps, to_mpc
 
 __all__ = [
     "LValue",
@@ -40,6 +44,9 @@ __all__ = [
     "l_quadratic_exact",
     "cohen_h",
 ]
+
+
+_HALF = Fraction(1, 2)
 
 
 @lru_cache(maxsize=None)
@@ -60,31 +67,60 @@ def bernoulli(k: int) -> Fraction:
     return -total / (k + 1)
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_polynomial_coefficients(n: int) -> tuple[int, tuple[int, ...]]:
+    """(d, (c_0, ..., c_n)) with C(n, j) B_j = c_j / d, all integers."""
+    coeffs = [math.comb(n, j) * bernoulli(j) for j in range(n + 1)]
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return d, tuple(int(c * d) for c in coeffs)
+
+
 def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:
-    """B_n(x) = sum_j C(n, j) B_j x^(n-j), exact for rational x."""
+    """B_n(x) = sum_j C(n, j) B_j x^(n-j), exact for rational x.
+
+    With x = u/v this is sum_j c_j u^(n-j) v^j / (d v^n), evaluated by
+    Horner's rule in integers.
+    """
     x = Fraction(x)
-    return sum(math.comb(n, j) * bernoulli(j) * x ** (n - j) for j in range(n + 1))
+    u, v = x.numerator, x.denominator
+    d, coeffs = _bernoulli_polynomial_coefficients(n)
+    num, v_power = 0, 1
+    for c in coeffs:
+        num = num * u + c * v_power
+        v_power *= v
+    return Fraction(num, d * v_power // v)
 
 
 def generalized_bernoulli(n: int, chi) -> Fraction:
-    """B_(n, chi) = f^(n-1) sum_a chi(a) B_n(a/f), for quadratic chi mod f."""
+    """B_(n, chi) = f^(n-1) sum_a chi(a) B_n(a/f), for quadratic chi mod f.
+
+    Expanding B_n(a/f) = sum_j C(n, j) B_j (a/f)^(n-j) turns this into
+    sum_j C(n, j) B_j f^(j-1) S_(n-j) with the integer power sums
+    S_i = sum_a chi(a) a^i, all gathered in one pass over a = 1..f.
+    """
     f = max(chi.modulus, 1)
-    total = Fraction(0)
+    sums = [0] * (n + 1)
     for a in range(1, f + 1):
         t = chi.exponent(a)
         if t is None:
             continue
         if t == 0:
             sign = 1
-        elif t == Fraction(1, 2):
+        elif t == _HALF:
             sign = -1
         else:
             raise ValueError("generalized Bernoulli numbers are exact only for quadratic characters here")
-        total += sign * bernoulli_polynomial(n, Fraction(a, f))
-    return Fraction(f) ** (n - 1) * total
+        power = sign
+        for i in range(n + 1):
+            sums[i] += power
+            power *= a
+    total = Fraction(0)
+    for j in range(n + 1):
+        total += math.comb(n, j) * bernoulli(j) * Fraction(f) ** (j - 1) * sums[n - j]
+    return total
 
 
-@dataclass
+@dataclass(frozen=True)
 class LValue:
     """A special L-value: exact rational-times-pi-power, or numeric."""
 
@@ -123,15 +159,26 @@ def zeta_series_tail_bound(k: int, terms: int) -> tuple[mpmath.mpf, Fraction]:
     return partial, bound
 
 
+_L_VALUES: dict[tuple, LValue] = {}
+
+
 def dirichlet_l(k: int, psi) -> LValue:
     """L(k, psi) for k >= 2 and a possibly imprimitive character psi.
 
     Computed as L(k, core) times prod (1 - core(p) p^(-k)) over primes p of
     the modulus missing from the conductor.  The primitive value goes
     through Hurwitz zeta unless the core is trivial (then it is zeta).
+    Each value is computed once per (k, psi, working precision).
     """
     if k <= 1:
         raise ValueError("L-values are evaluated only at integers >= 2 here")
+    key = (k, psi, get_precision())
+    if key not in _L_VALUES:
+        _L_VALUES[key] = _dirichlet_l(k, psi)
+    return _L_VALUES[key]
+
+
+def _dirichlet_l(k: int, psi) -> LValue:
     core = psi.primitive_core()
     lost = psi.lost_euler_primes()
     if core.modulus == 1:
@@ -160,6 +207,7 @@ def dirichlet_l(k: int, psi) -> LValue:
     return LValue(val, "numeric", k, psi.label)
 
 
+@lru_cache(maxsize=None)
 def l_quadratic_exact(n: int, D: int) -> Exact:
     """L(n, chi_D) exactly, for fundamental D (or 1) with chi_D(-1) = (-1)^n.
 
@@ -168,7 +216,8 @@ def l_quadratic_exact(n: int, D: int) -> Exact:
         L(n, chi_D) = (-1)^(1 + (n - delta)/2) (sqrt|D| / 2)
                       (2 pi / |D|)^n  B_(n, chi_D) / n!
 
-    where delta = 0, 1 for even, odd chi_D.  Returns q * pi^n * sqrt(|D|).
+    where delta = 0, 1 for even, odd chi_D.  Returns q * pi^n * sqrt(|D|),
+    computed once per (n, D).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from siegeleis import fourier, lvalues
 from siegeleis.arith import HalfIntegralForm
 from siegeleis.characters import DirichletCharacter
 from siegeleis.fourier import (
@@ -140,6 +141,27 @@ def test_mp_prec_unchanged():
         assert mpmath.mp.prec == 61
         coefficient(spec, HalfIntegralForm(1, 3, 9), oracle_policy="force")
         assert mpmath.mp.prec == 61
+
+
+def _clear_caches():
+    lvalues._L_VALUES.clear()
+    lvalues.l_quadratic_exact.cache_clear()
+    fourier._spec_invariants.cache_clear()
+
+
+def test_coefficient_cold_and_warm_caches_agree():
+    # each T alone with every cache cleared, then all T forward and in reverse
+    # with the caches kept: the values must be identical, not merely close
+    for spec, bound in ((EisensteinSpec(4, TRIV), 8), (EisensteinSpec(5, ETA3), 10)):
+        forms = [rec.T for rec in expand(spec, bound)]
+        cold = []
+        for T in forms:
+            _clear_caches()
+            cold.append(coefficient(spec, T).value)
+        _clear_caches()
+        forward = [coefficient(spec, T).value for T in forms]
+        backward = [coefficient(spec, T).value for T in reversed(forms)][::-1]
+        assert cold == forward == backward
 
 
 def test_expand_matches_coefficient():

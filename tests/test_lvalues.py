@@ -1,8 +1,11 @@
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from siegeleis import lvalues
+from siegeleis.arith import fundamental_discriminant
 from siegeleis.characters import DirichletCharacter, kronecker_character
 from siegeleis.lvalues import (
     bernoulli,
@@ -14,7 +17,7 @@ from siegeleis.lvalues import (
     zeta,
     zeta_series_tail_bound,
 )
-from siegeleis.scalars import Exact, mp_workdps, to_mpc
+from siegeleis.scalars import Exact, get_precision, mp_workdps, set_precision, to_mpc
 
 
 def test_bernoulli():
@@ -102,6 +105,55 @@ def test_generalized_bernoulli():
     assert generalized_bernoulli(3, kronecker_character(-3)) == Fraction(2, 3)
     assert generalized_bernoulli(3, kronecker_character(-4)) == Fraction(3, 2)
     assert bernoulli_polynomial(3, Fraction(1, 3)) == Fraction(1, 27)
+
+
+def test_bernoulli_polynomial_matches_sum():
+    for n in range(13):
+        for x in (Fraction(0), Fraction(1), Fraction(-3, 7), Fraction(5, 2), Fraction(22, 9)):
+            want = sum(math.comb(n, j) * bernoulli(j) * x ** (n - j) for j in range(n + 1))
+            assert bernoulli_polynomial(n, x) == want
+
+
+def test_generalized_bernoulli_matches_definition():
+    # B_(n, chi) = f^(n-1) sum_a chi(a) B_n(a/f), evaluated here residue by
+    # residue, for D = 1 and every fundamental |D| <= 400
+    fundamental = [D for D in range(-400, 401) if D % 4 in (0, 1) and D and fundamental_discriminant(D).f == 1]
+    for D in fundamental:
+        chi = kronecker_character(D)
+        f = abs(D)
+        points = [
+            (Fraction(a, f), 1 if chi.exponent(a) == 0 else -1)
+            for a in range(1, f + 1)
+            if chi.exponent(a) is not None
+        ]
+        for n in range(1, 13):
+            total = sum(sign * bernoulli_polynomial(n, x) for x, sign in points)
+            assert generalized_bernoulli(n, chi) == Fraction(f) ** (n - 1) * total, (D, n)
+    with pytest.raises(ValueError):
+        generalized_bernoulli(3, DirichletCharacter(7, 3))
+
+
+def test_dirichlet_l_cache_keyed_by_precision():
+    saved = get_precision()
+    try:
+        for k, psi in [(2, kronecker_character(-4)), (4, DirichletCharacter(7, 3))]:
+            set_precision(192)
+            low = dirichlet_l(k, psi).value
+            set_precision(320)
+            high = dirichlet_l(k, psi).value
+            fresh = lvalues._dirichlet_l(k, psi).value
+            assert high == fresh and high != low
+    finally:
+        set_precision(saved)
+
+
+def test_dirichlet_l_cache_keyed_by_character():
+    # characters of one modulus, and one character at two moduli, each get their own value
+    from siegeleis.characters import characters_mod
+
+    for psi in characters_mod(7) + [DirichletCharacter(14, 3), DirichletCharacter(21, 10)]:
+        for k in (2, 3):
+            assert dirichlet_l(k, psi).value == lvalues._dirichlet_l(k, psi).value, (k, psi)
 
 
 def test_cohen_h():

@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -166,14 +168,25 @@ def test_vol_sq_shell_ge_vs_counting():
             if unit % p == 0:
                 unit += 1
             c = Fraction(unit) * Fraction(p) ** vc
+            # u^2 - c = (u^2 b - a) / b for c = a/b, so v_p(u^2 - c) is an
+            # integer valuation less v_p(b); infinite when u^2 = c
+            a, b = c.numerator, c.denominator
+            vb = _int_valuation(b, p)
+            q = p**7
+            shells = Counter(
+                math.inf if u * u * b == a else _int_valuation(u * u * b - a, p) - vb for u in range(1, q) if u % p
+            )
             for t0 in range(-2, 5):
-                q = p**7
-                cnt = sum(
-                    1
-                    for u in range(1, q)
-                    if u % p and (Fraction(u * u) - c == 0 or valuation(Fraction(u * u) - c, p) >= t0)
-                )
+                cnt = sum(n for v, n in shells.items() if v >= t0)
                 assert vol_sq_shell_ge(p, c, t0) == Fraction(cnt, q)
+
+
+def _int_valuation(x: int, p: int) -> int:
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
 
 
 def test_ramanujan_sums():
