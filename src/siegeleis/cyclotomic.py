@@ -14,6 +14,8 @@ Two layers:
 
 Only small n appear (lcm of a character order with small prime powers), so
 dense Fraction vectors and Gaussian elimination are entirely adequate.
+Products and reductions of integer coefficient vectors, as for Gauss sums,
+run in ints; the Fraction vector is built once per element.
 """
 
 from __future__ import annotations
@@ -137,20 +139,21 @@ class Cyclotomic:
 
     def __init__(self, n: int, coeffs):
         self.n = n
-        c = [Fraction(x) for x in coeffs]
-        c += [Fraction(0)] * (n - len(c))
-        self.c = self._reduce(n, c)
+        # int coefficients are reduced as ints and made Fractions only once
+        c = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs]
+        c += [0] * (n - len(c))
+        self.c = [Fraction(x) for x in self._reduce(n, c)]
 
     @staticmethod
-    def _reduce(n: int, c: list[Fraction]) -> list[Fraction]:
+    def _reduce(n: int, c: list) -> list:
         deg, terms = _phi_terms(n)
         for i in range(len(c) - 1, deg - 1, -1):
             lead = c[i]
             if lead:
-                c[i] = Fraction(0)
+                c[i] = 0
                 for j, phi_j in terms:
                     c[i - deg + j] -= lead * phi_j
-        return c[:deg] + [Fraction(0)] * max(0, deg - len(c))
+        return c[:deg] + [0] * max(0, deg - len(c))
 
     @classmethod
     def zeta_power(cls, n: int, k: int) -> "Cyclotomic":
@@ -213,17 +216,18 @@ class Cyclotomic:
         a, b = self._promote(other)
         if a is NotImplemented:
             return NotImplemented
-        out = [Fraction(0)] * (2 * a.n)
-        for i, x in enumerate(a.c):
-            if x:
-                for j, y in enumerate(b.c):
-                    if y:
-                        out[i + j] += x * y
-        folded = [Fraction(0)] * a.n
-        for i, v in enumerate(out):
-            if v:
-                folded[i % a.n] += v
-        return Cyclotomic(a.n, folded)
+        n = a.n
+        xs = [(i, x) for i, x in enumerate(a.c) if x]
+        ys = [(j, y) for j, y in enumerate(b.c) if y]
+        if all(x.denominator == 1 for _, x in xs + ys):
+            # integer coefficients, as for Gauss sums: multiply in ints
+            xs = [(i, x.numerator) for i, x in xs]
+            ys = [(j, y.numerator) for j, y in ys]
+        folded = [0] * n
+        for i, x in xs:
+            for j, y in ys:
+                folded[(i + j) % n] += x * y
+        return Cyclotomic(n, folded)
 
     __rmul__ = __mul__
 

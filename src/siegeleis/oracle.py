@@ -24,8 +24,16 @@ building blocks are:
   p^(-A) Z_p with a crude certified tail is kept as a cross-check and for
   r != 0.
 
-* residue-counting volumes of the sets R(i,j), S(i,j), and term-by-term
-  checks of the two generating-series identities.
+* the defining j-sum of K(s, T, chi), over a tree of unit classes
+  u + p^d Z_p refined until the valuation of the argument and its unit
+  class mod p^(n_p) are fixed.  The walk is integer arithmetic on
+  G(u) = p^(2n_p) F(u); leaves go into a histogram keyed by (j, depth, unit
+  class), and the character and the powers of p are applied once per key.
+
+* residue-counting volumes of the sets R(i,j), S(i,j), counted over the same
+  kind of class tree on an integer quadratic (a class whose value has
+  valuation below its depth is counted whole), and term-by-term checks of
+  the two generating-series identities.
 
 Measure conventions: vol(Z_p) = 1 for the additive measure, so
 vol(Z_p^x) = 1 - 1/p.  The additive character is psi_p(x) = e^(-2 pi i
@@ -37,7 +45,6 @@ from __future__ import annotations
 
 import math
 import random
-from functools import lru_cache
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -706,10 +713,21 @@ def k_oracle(T: HalfIntegralForm, chi: LocalCharacterData, s: int, j_extra: int 
     """K(s, T, chi) by direct evaluation of the defining j-sum.
 
     K = sum_{j >= 1 - n_p} p^(j(2-s)) int_{S(j+1, n_p)} chi(n/mu + r p^(-n_p)
-    + m mu p^(-2n_p)) dmu.  Unit classes are refined adaptively until the
-    valuation of F(mu) = n + r mu p^(-n_p) + m mu^2 p^(-2n_p) and the unit
-    class of the argument mod p^(n_p) stabilize; classes that reach depth
-    j_max contribute to a certified bound instead.
+    + m mu p^(-2n_p)) dmu.  Unit classes mu = u + p^d Z_p are refined
+    adaptively until the valuation of F(mu) = n + r mu p^(-n_p) + m mu^2
+    p^(-2n_p) and the unit class of the argument F(mu)/mu mod p^(n_p)
+    stabilize; classes that reach depth j_max contribute to a certified
+    bound instead.
+
+    The class tree is walked on the integer G(u) = p^(2n_p) F(u) = n
+    p^(2n_p) + r u p^(n_p) + m u^2.  G has integer coefficients, so G(u + h)
+    = G(u) mod p^d for v(h) >= d, and a class of depth d decides v(F) = v(G)
+    - 2n_p exactly when p^d does not divide G(u).  A decided class is a leaf
+    once d >= v(G) + n_p and d >= n_p; the unit class of its argument is
+    then G(u) p^(-v(G)) u^(-1) mod p^(n_p).  Leaves are counted in a
+    histogram keyed by (j, depth, unit class) and bounded classes in one
+    keyed by (depth, exponent, kind); the character value and the powers of
+    p are applied once per key, so the walk itself is integer arithmetic.
 
     Returns (value, bound) with the value exact (rational for quadratic
     chi, cyclotomic otherwise).
@@ -720,47 +738,54 @@ def k_oracle(T: HalfIntegralForm, chi: LocalCharacterData, s: int, j_extra: int 
         raise ValueError("K needs nonsingular T")
     vals = [valuation(x, p) for x in (n, r, m) if x != 0]
     j_max = max(vals + [0]) + 2 * n_p + j_extra
-
-    def F(mu: Fraction) -> Fraction:
-        return n + r * mu / p**n_p + m * mu * mu / p ** (2 * n_p)
-
-    X = Fraction(p) ** (2 - s)
-    total = Fraction(0)
-    bound = Fraction(0)
-    # stack of classes (u, depth): mu = u + p^depth Z_p, u a unit mod p^depth
+    c0, c1 = n * p ** (2 * n_p), r * p**n_p
+    mod = p**n_p
+    pw = [p**d for d in range(max(j_max, 1) + 1)]
+    # (j, d, unit class of the argument mod p^(n_p)) -> leaf classes
+    leaves: dict[tuple[int, int, int], int] = {}
+    # (d, e, geometric) -> classes bounded by p^(-d) sum_{j >= e} |X|^j
+    # (geometric) or by p^(-d) |X|^e
+    bounded: dict[tuple[int, int, bool], int] = {}
+    # stack of classes (u, d): mu = u + p^d Z_p, u a unit mod p^d
     stack = [(u, 1) for u in range(1, p)]
     while stack:
         u, d = stack.pop()
-        # F on the class: value at center, uncertainty p^(-2 n_p + d... )
-        center = F(Fraction(u))
-        # F(u + h) - F(u) has valuation >= d - 2 n_p for v(h) >= d
-        unc = d - 2 * n_p
-        vF = valuation(center, p) if center else None
-        if vF is None or vF >= unc:
-            # valuation not yet decided on the class
+        g = c0 + c1 * u + m * u * u
+        if g % pw[d] == 0:
+            # v(F) >= d - 2 n_p is not yet decided on the class
             if d >= j_max:
-                # contribute to the certified bound: |chi| = 1,
-                # measure p^(-d), and j >= unc
-                j_lo = max(unc, 1 - n_p)
-                bound += Fraction(p) ** (-d) * _geom_abs(X, j_lo)
+                key = (d, max(d - 2 * n_p, 1 - n_p), True)
+                bounded[key] = bounded.get(key, 0) + 1
                 continue
-            stack.extend((u + p**d * t, d + 1) for t in range(p))
+            stack.extend((u + pw[d] * t, d + 1) for t in range(p))
             continue
-        j = vF
-        # need the unit of arg = F(u)/mu mod p^(n_p) stable on the class:
-        # perturbation of F is p^(unc), need unc >= j + n_p; mu-unit needs
-        # d >= n_p.
-        if unc < j + n_p or d < n_p:
+        v = 0
+        while g % p == 0:
+            g //= p
+            v += 1
+        j = v - 2 * n_p
+        # the unit class of F(u)/u mod p^(n_p) depends on G mod p^(v + n_p)
+        # and on u mod p^(n_p); both are fixed on the class once d reaches them
+        if d < v + n_p or d < n_p:
             if d >= j_max:
-                bound += Fraction(p) ** (-d) * abs(X) ** max(j, 1 - n_p)
+                key = (d, max(j, 1 - n_p), False)
+                bounded[key] = bounded.get(key, 0) + 1
                 continue
-            stack.extend((u + p**d * t, d + 1) for t in range(p))
+            stack.extend((u + pw[d] * t, d + 1) for t in range(p))
             continue
         if j < 1 - n_p:
             raise AssertionError("support violates j >= 1 - n_p")
-        arg = center / Fraction(u)
-        val = chi.value(arg).as_scalar()
-        total = total + val * Fraction(p) ** (-d) * X**j
+        key = (j, d, g * pow(u, -1, mod) % mod)
+        leaves[key] = leaves.get(key, 0) + 1
+
+    X = Fraction(p) ** (2 - s)
+    total = Fraction(0)
+    for (j, d, unit), count in leaves.items():
+        val = (chi.chi_at_p**j * chi.unit_value(unit)).as_scalar()
+        total = total + val * (count * Fraction(p) ** (-d) * X**j)
+    bound = Fraction(0)
+    for (d, e, geometric), count in bounded.items():
+        bound += count * Fraction(p) ** (-d) * (_geom_abs(X, e) if geometric else abs(X) ** e)
     return total, bound
 
 
@@ -848,36 +873,43 @@ def ramified_integral_exact(T: HalfIntegralForm, chi: LocalCharacterData, s: int
 # volumes of R(i, j), S(i, j) and the generating series
 
 
-@lru_cache(maxsize=None)
 def _residue_valuation_counts(nrm: tuple, j: int, p: int, B: int):
     """Counts of v(n + r u p^(-j) + m u^2 p^(-2j)) over units u mod p^B.
 
     Returns (counts: dict v -> count, undecided: count of residues whose
-    valuation is only known to be >= the decidability horizon).
+    valuation is only known to be >= the decidability horizon, horizon).
+    The residues are counted by unit classes u + p^d Z_p of the integer
+    polynomial c(u) = c0 + c1 u + c2 u^2: as c(u + h) = c(u) mod p^d for
+    v(h) >= d, a class whose value has valuation v < d holds p^(B-d)
+    residues mod p^B, all of valuation v.  Only classes divisible by p^d are
+    refined, down to single residues at d = B.
     """
     n, r, m = nrm
-    q = p**B
     t = 2 * max(j, 0)
     # integerized: p^t (n + r u p^-j + m u^2 p^-2j); true valuation = v - t
     c0, c1, c2 = n * p**t, r * p ** (t - j), m * p ** (t - 2 * j)
     horizon = B - t - 1  # true valuations >= horizon are not class-determined
+    pw = [p**d for d in range(B + 1)]
     counts: dict[int, int] = {}
     undecided = 0
-    for u in range(1, q):
-        if u % p == 0:
-            continue
+    stack = [(u, 1) for u in range(1, p)] if B > 0 else []
+    while stack:
+        u, d = stack.pop()
         val = c0 + c1 * u + c2 * u * u
-        if val == 0:
-            undecided += 1
+        if val % pw[d] == 0:
+            if d == B:
+                undecided += 1
+            else:
+                stack.extend((u + pw[d] * k, d + 1) for k in range(p))
             continue
         v = 0
         while val % p == 0:
             val //= p
             v += 1
         if v - t >= horizon:
-            undecided += 1
+            undecided += pw[B - d]
         else:
-            counts[v - t] = counts.get(v - t, 0) + 1
+            counts[v - t] = counts.get(v - t, 0) + pw[B - d]
     return counts, undecided, horizon
 
 

@@ -174,6 +174,7 @@ def unramified_local_factor_from(p, zeta, L, e, f, s):
 
 def suite_volumes(seed: int = 0):
     """Every row of the volume table at p in {3, 5}, i in 0..4, depth B = 8."""
+    t0 = time.time()
     lines = []
     ok = True
     checked = 0
@@ -215,12 +216,14 @@ def suite_volumes(seed: int = 0):
                 if got != want:
                     ok = False
                     lines.append(f"  p={p} {label} (n,m,j,i)=({n},{m},{j},{i}): {got} != {want}")
-    lines.append(f"volume table: {checked} row instances at depth B = 8, exact")
+    elapsed = time.time() - t0
+    lines.append(f"volume table: {checked} row instances at depth B = 8, exact ({elapsed:.2f}s)")
     return ok, lines
 
 
 def suite_series(seed: int = 0):
     """Both generating-series identities to bidegree (6, 6), 12 combos."""
+    t0 = time.time()
     lines = []
     ok = True
     combos = [
@@ -232,15 +235,20 @@ def suite_series(seed: int = 0):
         if not rep["ok"]:
             ok = False
             lines.append(f"  (n,m,p)=({n},{m},{p}): first mismatches {rep['mismatches'][:3]}")
-    lines.append(f"generating series: {len(combos)} parameter combos, term-by-term to (6,6)")
+    elapsed = time.time() - t0
+    lines.append(
+        f"generating series: {len(combos)} parameter combos, term-by-term to (6,6) ({elapsed:.2f}s)"
+    )
     return ok, lines
 
 
 def suite_k_table(seed: int = 0):
     """Every K-table row at p in {3, 5}, n_p = 1, quadratic chi, vs the j-sum."""
+    t0 = time.time()
     lines = []
     ok = True
     checked = 0
+    max_tail = Fraction(0)
     tol = Fraction(1, 10**10)
     for p in (3, 5):
         for chi_at_p in (1, -1):
@@ -260,10 +268,15 @@ def suite_k_table(seed: int = 0):
                     res = K_closed_form(RamifiedPlaceInput(p, chi, T, s))
                     oracle, bound = k_oracle(T, chi, s)
                     checked += 1
+                    max_tail = max(max_tail, bound)
                     if abs(res.value - oracle) > bound + tol:
                         ok = False
                         lines.append(f"  p={p} chi(p)={chi_at_p} T={T} s={s}: {res.value} != {oracle}")
-    lines.append(f"K table: {checked} instances (both chi(p) signs), closed form vs defining sum")
+    elapsed = time.time() - t0
+    lines.append(
+        f"K table: {checked} instances (both chi(p) signs), closed form vs defining sum, "
+        f"largest certified tail {float(max_tail):.3g} ({elapsed:.2f}s)"
+    )
     return ok, lines
 
 
@@ -283,6 +296,7 @@ def _fundamental_discs(bound: int) -> list[int]:
 
 def suite_point_counts(seed: int = 0):
     """a_p by Legendre sum vs naive enumeration, p <= 50, |D| <= 20; Hasse."""
+    t0 = time.time()
     lines = []
     ok = True
     checked = 0
@@ -298,12 +312,16 @@ def suite_point_counts(seed: int = 0):
             if abs(a1) >= 2 * math.sqrt(p):
                 ok = False
                 lines.append(f"  D={D} p={p}: |a_p| = {abs(a1)} violates Hasse")
-    lines.append(f"point counts: {checked} (D, p) pairs, Legendre vs enumeration + Hasse")
+    elapsed = time.time() - t0
+    lines.append(
+        f"point counts: {checked} (D, p) pairs, Legendre vs enumeration + Hasse ({elapsed:.2f}s)"
+    )
     return ok, lines
 
 
 def suite_gauss_sums(seed: int = 0):
     """|G(eta)|^2 = N for primitive eta, N <= 50 (exact when quadratic)."""
+    t0 = time.time()
     lines = []
     ok = True
     checked = exact_checked = 0
@@ -323,14 +341,17 @@ def suite_gauss_sums(seed: int = 0):
                 if abs(abs(val) ** 2 - N) > tol:
                     ok = False
                     lines.append(f"  eta={eta.label}: |G|^2 = {abs(val)**2} != {N}")
+    elapsed = time.time() - t0
     lines.append(
-        f"Gauss sums: {checked} primitive characters to 1e-25, {exact_checked} exact quadratic"
+        f"Gauss sums: {checked} primitive characters to 1e-25, {exact_checked} exact quadratic "
+        f"({elapsed:.2f}s)"
     )
     return ok, lines
 
 
 def suite_support(seed: int = 0):
     """a(T) = 0 off the support, exhaustively over |n|,|r|,|m| <= 12, N = 3."""
+    t0 = time.time()
     lines = []
     ok = True
     spec = EisensteinSpec(5, DirichletCharacter(3, 2))
@@ -346,7 +367,10 @@ def suite_support(seed: int = 0):
                 if not rec.is_zero():
                     ok = False
                     lines.append(f"  T={T}: expected 0, got {rec.value}")
-    lines.append(f"structural support: {checked} off-support forms, all zero (N = 3, k = 5)")
+    elapsed = time.time() - t0
+    lines.append(
+        f"structural support: {checked} off-support forms, all zero (N = 3, k = 5) ({elapsed:.2f}s)"
+    )
     return ok, lines
 
 
@@ -355,9 +379,14 @@ def suite_bootstrap(seed: int = 1234):
     lines = []
     ok = True
     for p in (3, 5):
+        t0 = time.time()
         try:
             n = bootstrap_minor_valuation(p, 200, seed)
-            lines.append(f"bootstrap p={p}: {n} random parabolic-times-integral elements, exact (seed {seed})")
+            elapsed = time.time() - t0
+            lines.append(
+                f"bootstrap p={p}: {n} random parabolic-times-integral elements, exact "
+                f"(seed {seed}) ({elapsed:.2f}s)"
+            )
         except AssertionError as exc:
             ok = False
             lines.append(f"  p={p}: {exc}")

@@ -103,6 +103,22 @@ def test_local_K_dual(capsys):
     assert code == 0 and rec["closed_form"] == rec["oracle"]
 
 
+def test_local_K_oracle_output_is_stable(capsys):
+    # oracle-only K at order 4 (5:2) and order 12 (13:2), printed byte for byte
+    cases = [
+        (("-p", "5", "-c", "5:2", "-T", "1,0,25"),
+         '{"which": "K", "closed_form": null, "provenance": "needs-oracle", "oracle": "0", '
+         '"oracle_tail": "1/11548399925231933593750"}\n'),
+        (("-p", "13", "-c", "13:2", "-T", "1,13,169"),
+         '{"which": "K", "closed_form": null, "provenance": "needs-oracle", '
+         '"oracle": "1/13*z12^0 + 2/13*z12^1 + 1/13*z12^2", '
+         '"oracle_tail": "1/221288862825203043576757344096206754"}\n'),
+    ]
+    for args, want in cases:
+        code, out, _ = run(capsys, "local", "K", "--chi", "x", "-s", "5", *args)
+        assert code == 0 and out == want
+
+
 def test_verify_fast_suites(capsys):
     code, out, _ = run(capsys, "verify", "n1-classical")
     assert code == 0 and "PASS" in out and "seed" in out

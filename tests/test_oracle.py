@@ -37,8 +37,9 @@ from siegeleis.oracle import (
     volume_S,
     sl2_lower_identity,
 )
-from siegeleis.oracle import _f_integrand_value, _mat, _ramanujan
+from siegeleis.oracle import _f_integrand_value, _mat, _ramanujan, _residue_valuation_counts
 from siegeleis.scalars import mp_workdps, to_mpc
+from siegeleis.verify import _quadratic_local
 
 
 def quad_local(p):
@@ -254,6 +255,110 @@ def test_k_oracle_exactness():
     assert bound == 0 and val == Fraction(-8, 27)
 
 
+def _k_oracle_reference(T, chi, s, j_extra=6):
+    """The per-class Fraction refinement that `k_oracle` replaced, kept as it was."""
+    p, n_p = chi.p, chi.n_p
+    n, r, m = T.n, T.r, T.m
+    if T.delta == 0:
+        raise ValueError("K needs nonsingular T")
+    vals = [valuation(x, p) for x in (n, r, m) if x != 0]
+    j_max = max(vals + [0]) + 2 * n_p + j_extra
+
+    def F(mu: Fraction) -> Fraction:
+        return n + r * mu / p**n_p + m * mu * mu / p ** (2 * n_p)
+
+    X = Fraction(p) ** (2 - s)
+    total = Fraction(0)
+    bound = Fraction(0)
+    # stack of classes (u, depth): mu = u + p^depth Z_p, u a unit mod p^depth
+    stack = [(u, 1) for u in range(1, p)]
+    while stack:
+        u, d = stack.pop()
+        center = F(Fraction(u))
+        # F(u + h) - F(u) has valuation >= d - 2 n_p for v(h) >= d
+        unc = d - 2 * n_p
+        vF = valuation(center, p) if center else None
+        if vF is None or vF >= unc:
+            # valuation not yet decided on the class
+            if d >= j_max:
+                # contribute to the certified bound: |chi| = 1,
+                # measure p^(-d), and j >= unc
+                j_lo = max(unc, 1 - n_p)
+                bound += Fraction(p) ** (-d) * _geom_abs_reference(X, j_lo)
+                continue
+            stack.extend((u + p**d * t, d + 1) for t in range(p))
+            continue
+        j = vF
+        # need the unit of arg = F(u)/mu mod p^(n_p) stable on the class:
+        # perturbation of F is p^(unc), need unc >= j + n_p; mu-unit needs
+        # d >= n_p.
+        if unc < j + n_p or d < n_p:
+            if d >= j_max:
+                bound += Fraction(p) ** (-d) * abs(X) ** max(j, 1 - n_p)
+                continue
+            stack.extend((u + p**d * t, d + 1) for t in range(p))
+            continue
+        if j < 1 - n_p:
+            raise AssertionError("support violates j >= 1 - n_p")
+        arg = center / Fraction(u)
+        val = chi.value(arg).as_scalar()
+        total = total + val * Fraction(p) ** (-d) * X**j
+    return total, bound
+
+
+def _geom_abs_reference(X, j_lo):
+    aX = abs(X)
+    return aX**j_lo / (1 - aX)
+
+
+def _assert_k_oracle_matches_reference(T, chi, s, j_extra):
+    got = k_oracle(T, chi, s, j_extra)
+    want = _k_oracle_reference(T, chi, s, j_extra)
+    assert got == want, (T, chi.p, s, j_extra)
+    assert type(got[0]) is type(want[0]) and type(got[1]) is type(want[1])
+    assert str(got[0]) == str(want[0])  # same cyclotomic field, not only equal
+
+
+def test_k_oracle_matches_fraction_refinement_quadratic():
+    # the K-table grid of the verify suite.  chi(p), s and j_extra rotate
+    # over the forms to keep the Fraction reference within a few seconds; the
+    # class tree depends only on the form and j_extra.  With n_p = 1 only the
+    # undecided-class branch of the bound can be reached.
+    for p in (3, 5):
+        forms = [
+            (1, 0, p**2), (1, 0, 2 * p**2), (2, 0, p**2), (1, 0, p**3), (1, 0, p**4),
+            (p, 0, p**3), (1, p, p**2), (1, 2 * p**2, p**2), (p, p, p**3),
+            (p**2, p, p**2), (1, p, p**3), (p**2, p**2, p**2), (2, p**2, p**4),
+            (1, p, 2 * p**2), (2, p, p**2), (1, 3 * p, 2 * p**2), (4, 2 * p, p**2),
+            (1, p, 5 * p**2), (3, p, p**2), (1, p, p**4), (p, p**2, p**3),
+        ]
+        chis = [_quadratic_local(p, 1), _quadratic_local(p, -1)]
+        for idx, nrm in enumerate(forms):
+            chi, s, j_extra = chis[idx % 2], 4 + (idx // 2) % 2, (1, 2, 6)[idx % 3]
+            _assert_k_oracle_matches_reference(HalfIntegralForm(*nrm), chi, s, j_extra)
+
+
+def test_k_oracle_matches_fraction_refinement_higher_order():
+    # orders 4, 6 and 6, as (character, p, form, s, j_extra)
+    cases = [
+        ("5:2", 5, (1, 0, 25), 4, 1), ("5:2", 5, (2, 5, 125), 5, 6), ("5:2", 5, (1, 5, 25), 4, 6),
+        ("5:2", 5, (5, 0, 25), 5, 2), ("5:2", 5, (3, 10, 25), 4, 1),
+        ("7:3", 7, (1, 0, 49), 5, 6), ("7:3", 7, (2, 7, 343), 4, 1), ("7:3", 7, (3, 14, 49), 5, 2),
+        # n_p = 2: the first two reach j_max on classes whose valuation is
+        # decided but whose unit class is not, the second branch of the bound
+        ("9:2", 3, (1, 9, 243), 4, 1), ("9:2", 3, (2, -9, 729), 5, 1), ("9:2", 3, (1, 0, 81), 4, 6),
+        ("9:2", 3, (1, 9, 81), 5, 2),
+    ]
+    for label, p, nrm, s, j_extra in cases:
+        chi = local_component(DirichletCharacter.from_label(label), p)
+        _assert_k_oracle_matches_reference(HalfIntegralForm(*nrm), chi, s, j_extra)
+    # a class below the support raises in both
+    chi = local_component(DirichletCharacter.from_label("9:2"), 3)
+    for fn in (k_oracle, _k_oracle_reference):
+        with pytest.raises(AssertionError):
+            fn(HalfIntegralForm(1, 1, 81), chi, 4, 1)
+
+
 def test_volume_counting():
     # first volume-table row at p = 3: vol R(0,0) for unit n, m = 1 - 1/3
     T = HalfIntegralForm(1, 0, 1)
@@ -263,6 +368,45 @@ def test_volume_counting():
     for i in range(0, 3):
         for j in (-1, 0, 1):
             assert volume_S(i, j, T, 3, 8) == volume_R(i - 1, j, T, 3, 8) - volume_R(i, j, T, 3, 8)
+
+
+def _residue_counts_by_enumeration(nrm, j, p, B):
+    """v(n + r u p^-j + m u^2 p^-2j) for every unit u mod p^B, one at a time."""
+    n, r, m = nrm
+    t = 2 * max(j, 0)
+    c0, c1, c2 = n * p**t, r * p ** (t - j), m * p ** (t - 2 * j)
+    horizon = B - t - 1
+    counts = Counter()
+    undecided = 0
+    for u in range(1, p**B):
+        if u % p == 0:
+            continue
+        val = c0 + c1 * u + c2 * u * u
+        v = math.inf if val == 0 else _int_valuation(val, p)
+        if v - t >= horizon:
+            undecided += 1
+        else:
+            counts[v - t] += 1
+    return dict(counts), undecided, horizon
+
+
+def test_residue_counts_by_classes_match_enumeration():
+    rng = random.Random(3)
+    for p, B_max in ((3, 6), (5, 5)):
+        forms = [
+            (1, 0, 1), (-1, 0, 1), (1, 1, 1), (-2, 3, p**2), (1, p, p**2), (p**2, p, 1),
+            (-p, 2 * p, p**3), (-1, 2, -1), (0, 0, 0), (0, p, 0),
+        ]
+        forms += [
+            (rng.randint(-20, 20) * p ** rng.randint(0, 3), rng.randint(-9, 9) * p ** rng.randint(0, 2),
+             rng.randint(-20, 20) * p ** rng.randint(0, 4))
+            for _ in range(6)
+        ]
+        for nrm in forms:
+            for j in (-1, 0, 1, 2):
+                for B in range(1, B_max + 1):
+                    got = _residue_valuation_counts(nrm, j, p, B)
+                    assert got == _residue_counts_by_enumeration(nrm, j, p, B), (nrm, j, p, B)
 
 
 def test_volume_depth_guard():
