@@ -307,43 +307,58 @@ def parity(eta) -> int:
     raise AssertionError("eta(-1) must be +-1")
 
 
+def _gauss_phase_counts(eta) -> tuple[int, dict[int, int]]:
+    """n = lcm(N, ord eta) and the histogram of the phase indices of G(eta).
+
+    The term eta(a) e(a/N) is zeta_n^k with k = t n + a n/N, where eta(a) =
+    e(t); k is formed in ints from the numerator and denominator of t.
+    """
+    N = eta.modulus
+    n = math.lcm(N, eta.order())
+    step = n // N
+    counts: dict[int, int] = {}
+    for a in range(N):
+        t = eta.exponent(a)
+        if t is None:
+            continue
+        k = (t.numerator * (n // t.denominator) + a * step) % n
+        counts[k] = counts.get(k, 0) + 1
+    return n, counts
+
+
 def gauss_sum(eta) -> Cyclotomic:
     """G(eta) = sum of eta(a) e(a/N), exact in Q(zeta_lcm(N, order)).
 
     Accumulates the exponent histogram first and reduces once; every term
     is a single root of unity.
     """
-    N = eta.modulus
-    if N == 1:
+    if eta.modulus == 1:
         return Cyclotomic.from_rational(1)
-    n = math.lcm(N, eta.order())
+    n, counts = _gauss_phase_counts(eta)
     coeffs = [0] * n
-    for a in range(N):
-        t = eta.exponent(a)
-        if t is None:
-            continue
-        k = (t + Fraction(a, N)) * n
-        assert k.denominator == 1
-        coeffs[k.numerator % n] += 1
+    for k, count in counts.items():
+        coeffs[k] = count
     return Cyclotomic(n, coeffs)
 
 
 def gauss_sum_numeric(eta):
-    """G(eta) as an mpc at working precision, without cyclotomic overhead."""
+    """G(eta) as an mpc at working precision, without cyclotomic overhead.
+
+    The same integer phase histogram as `gauss_sum`; each distinct root of
+    unity zeta_n^k is evaluated once.
+    """
     import mpmath
 
     from .scalars import mp_workdps
 
-    N = eta.modulus
     with mp_workdps():
+        if eta.modulus == 1:
+            return mpmath.mpc(1)
+        n, counts = _gauss_phase_counts(eta)
         total = mpmath.mpc(0)
-        for a in range(max(N, 1)):
-            t = eta.exponent(a)
-            if t is None:
-                continue
-            phase = t + Fraction(a, N) if N > 1 else Fraction(0)
-            total += mpmath.expjpi(2 * mpmath.mpf(phase.numerator) / phase.denominator)
-        return total if N > 1 else mpmath.mpc(1)
+        for k, count in counts.items():
+            total += count * mpmath.expjpi(mpmath.mpf(2 * k) / n)
+        return total
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,11 @@ Two layers:
   with character-valued coefficients can be computed exactly.
 
 Only small n appear (lcm of a character order with small prime powers), so
-dense Fraction vectors and Gaussian elimination are entirely adequate.
-Products and reductions of integer coefficient vectors, as for Gauss sums,
-run in ints; the Fraction vector is built once per element.
+dense coefficient vectors and Gaussian elimination over Q are entirely
+adequate.  The cyclotomic polynomials are integer vectors, found by exact
+division of monic integer polynomials.  Products and reductions of integer
+coefficient vectors, as for Gauss sums, run in ints; the Fraction vector is
+built once per element.
 """
 
 from __future__ import annotations
@@ -30,40 +32,35 @@ __all__ = ["RootU", "Cyclotomic", "cyclotomic_polynomial"]
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients (constant first) of Phi_n, via x^n - 1 = prod Phi_d."""
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Integer coefficients (constant first) of Phi_n, via x^n - 1 = prod Phi_d."""
     # Divide x^n - 1 successively by Phi_d for proper divisors d of n.
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            phi_d = cyclotomic_polynomial(d)
-            poly = _poly_divide_exact(poly, list(phi_d))
+            poly = _poly_divide_monic(poly, cyclotomic_polynomial(d))
     return tuple(poly)
 
 
 @lru_cache(maxsize=None)
 def _phi_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """deg Phi_n and the pairs (j, c_j) with c_j != 0 for j < deg, as ints."""
+    """deg Phi_n and the pairs (j, c_j) with c_j != 0 for j < deg."""
     phi = cyclotomic_polynomial(n)
-    terms = []
-    for j, c in enumerate(phi[:-1]):
-        assert c.denominator == 1
-        if c:
-            terms.append((j, int(c)))
-    return len(phi) - 1, tuple(terms)
+    return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
 
 
-def _poly_divide_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """Exact polynomial division (remainder must vanish)."""
+def _poly_divide_monic(num: list[int], den: tuple[int, ...]) -> list[int]:
+    """Quotient of integer polynomials by a monic divisor (remainder must vanish)."""
     num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
+    k = len(den) - 1
+    terms = [(j, c) for j, c in enumerate(den[:-1]) if c]
+    out = [0] * (len(num) - k)
     for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1] / den[-1]
-        out[i] = c
+        c = out[i] = num[i + k]
         if c:
-            for j, dj in enumerate(den):
+            for j, dj in terms:
                 num[i + j] -= c * dj
-    assert all(c == 0 for c in num[: len(den) - 1])
+    assert not any(num[:k])
     return out
 
 

@@ -3,11 +3,12 @@
 Nothing in this module uses the closed-form local factors under test.  The
 building blocks are:
 
-* exact 4x4 matrix arithmetic over Q and evaluation of the unramified
-  (spherical) section through the minimum valuation of the Pluecker minors
-  of the bottom 2x4 block -- an implementation shortcut that is itself
-  validated by the `bootstrap_minor_valuation` battery against elements
-  assembled from known parabolic times integral factors;
+* exact 4x4 matrix arithmetic over Q, with products taken in integers over
+  a common denominator, and evaluation of the unramified (spherical) section
+  through the minimum valuation of the Pluecker minors of the bottom 2x4
+  block, read off the integer form -- an implementation shortcut that is
+  itself validated by the `bootstrap_minor_valuation` battery against
+  elements assembled from known parabolic times integral factors;
 
 * evaluation of the ramified (paramodular) section: membership in the
   supported double coset is decided by a lattice invariant (the elementary
@@ -22,7 +23,7 @@ building blocks are:
   elementary two-center volume counts, giving an *exact rational* value
   with no truncation at all.  A plain truncated Riemann sum over a window
   p^(-A) Z_p with a crude certified tail is kept as a cross-check and for
-  r != 0.
+  r != 0; its cells are counted by (integrand value, phase exponent).
 
 * the defining j-sum of K(s, T, chi), over a tree of unit classes
   u + p^d Z_p refined until the valuation of the argument and its unit
@@ -133,9 +134,16 @@ class TruncationWindow:
 
 
 # ---------------------------------------------------------------------------
-# exact 4x4 matrices over Q
+# exact 4x4 matrices over Q, multiplied in integers
+#
+# A Mat holds Fractions.  Products are taken over a common denominator: each
+# factor becomes an integer matrix and one denominator (`_scaled`), the
+# integer matrices are multiplied, and one Fraction is made per entry of the
+# result.  The similitude and the Pluecker minors are read off the integer
+# form directly.
 
 Mat = tuple  # 4-tuple of 4-tuples of Fractions
+IntMat = tuple  # 4-tuple of 4-tuples of ints, kept with a separate denominator
 
 
 def _mat(rows) -> Mat:
@@ -148,13 +156,27 @@ S1 = _mat([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 S2 = _mat([[1, 0, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 1]])
 
 
+def _scaled(a: Mat) -> tuple[IntMat, int]:
+    """(A, d) with a = A / d, d the lcm of the entry denominators."""
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in a), d
+
+
+def _int_mul(a: IntMat, b: IntMat) -> IntMat:
+    cols = tuple(zip(*b))
+    return tuple(
+        tuple(r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 for c0, c1, c2, c3 in cols)
+        for r0, r1, r2, r3 in a
+    )
+
+
 def mat_mul(*ms: Mat) -> Mat:
-    out = ms[0]
+    """The product over Q: integer products over the product of denominators."""
+    out, den = _scaled(ms[0])
     for b in ms[1:]:
-        out = tuple(
-            tuple(sum(out[i][k] * b[k][j] for k in range(4)) for j in range(4)) for i in range(4)
-        )
-    return out
+        b_int, b_den = _scaled(b)
+        out, den = _int_mul(out, b_int), den * b_den
+    return tuple(tuple(Fraction(x, den) for x in row) for row in out)
 
 
 def mat_transpose(a: Mat) -> Mat:
@@ -174,23 +196,31 @@ def c0_matrix(x) -> Mat:
     return lower_unipotent(x, 0, 0)
 
 
-def similitude(g: Mat) -> Fraction:
-    """lambda(g), checking the similitude relation g^t J1 g = lambda J1."""
-    gt = mat_transpose(g)
-    m = mat_mul(gt, J1, g)
+_J1_INT = _scaled(J1)[0]
+
+
+def _int_similitude(G: IntMat) -> int:
+    """lambda(G) for an integer matrix, checking G^t J1 G = lambda J1."""
+    m = _int_mul(_int_mul(tuple(zip(*G)), _J1_INT), G)
     lam = m[0][3]
     if lam == 0:
         raise ValueError("singular similitude")
-    for i in range(4):
-        for j in range(4):
-            if m[i][j] != lam * J1[i][j]:
+    for row, j_row in zip(m, _J1_INT):
+        for x, j in zip(row, j_row):
+            if x != lam * j:
                 raise ValueError("matrix is not in the similitude group")
     return lam
 
 
-def _bottom_minors(g: Mat) -> list[Fraction]:
-    """The six 2x2 minors of rows 3, 4 (Pluecker coordinates of P g)."""
-    r, s = g[2], g[3]
+def similitude(g: Mat) -> Fraction:
+    """lambda(g), checking the similitude relation g^t J1 g = lambda J1."""
+    G, d = _scaled(g)
+    return Fraction(_int_similitude(G), d * d)
+
+
+def _bottom_minors(G: IntMat) -> list[int]:
+    """The six 2x2 minors of rows 3, 4 (Pluecker coordinates of P G)."""
+    r, s = G[2], G[3]
     return [r[i] * s[j] - r[j] * s[i] for i in range(4) for j in range(i + 1, 4)]
 
 
@@ -198,10 +228,12 @@ def spherical_weight(g: Mat, p: int) -> int:
     """w = v(lambda(g)) - min_p(minors): the exponent with f(g) = X(p)^w.
 
     For g = [[A, *], [0, u A-hat]] k with k integral this equals
-    v(u^(-1) det A); see `bootstrap_minor_valuation`.
+    v(u^(-1) det A); see `bootstrap_minor_valuation`.  Read off g = G / d
+    with G integral: lambda and the minors both scale by d^(-2), so d cancels.
     """
-    lam = similitude(g)
-    mv = min(valuation(x, p) for x in _bottom_minors(g) if x != 0)
+    G, _ = _scaled(g)
+    lam = _int_similitude(G)
+    mv = min(valuation(x, p) for x in _bottom_minors(G) if x != 0)
     return valuation(lam, p) - mv
 
 
@@ -623,12 +655,18 @@ def brute_force_local_integral(
     exact integral over the window; the returned tail bounds the rest of
     Q_p^3 by |f| <= p^(-s max(shells)) summed in closed form.
 
+    The phase of a cell is psi(n lam0 + r mu0 + m kap0) with every coordinate
+    u / p^A, so its exponent is (n u_lam + r u_mu + m u_kap) mod p^A.  Cells
+    are counted in a histogram keyed by (integrand value, phase exponent),
+    and each key is converted to mpc once.
+
     Returns (value: mpc, window: TruncationWindow with its tail filled in).
     """
     if window is None:
         window = TruncationWindow(4, 0, Fraction(0))
     A = window.A
-    if chi is not None and chi.n_p > 0:
+    ramified = chi is not None and chi.n_p > 0
+    if ramified:
         tail = _riemann_tail_bound_ramified(p, s, A, chi.n_p)
     else:
         tail = _riemann_tail_bound(p, s, A)
@@ -638,28 +676,27 @@ def brute_force_local_integral(
         )
     n, r, m = T.n, T.r, T.m
     q = p**A
+    zeta = chi.chi_at_p if chi is not None else Fraction(1)
+    reps = [PAdicLatticePoint(u, A, p).value for u in range(q)]
+    cells: dict[tuple, int] = {}
+    for u_lam, lam0 in enumerate(reps):
+        for u_mu, mu0 in enumerate(reps):
+            e0 = n * u_lam + r * u_mu
+            for u_kap, kap0 in enumerate(reps):
+                if ramified:
+                    val = _f_integrand_value(mu0, kap0, lam0, chi, s)
+                else:
+                    val = _f_lower_spherical(mu0, kap0, lam0, p, zeta, s)
+                if val == 0:
+                    continue
+                key = (val, (e0 + m * u_kap) % q)
+                cells[key] = cells.get(key, 0) + 1
+    # psi_p(x) = e(-{x}_p); the ramified integrand carries the inverse phase
+    sign = 1 if ramified else -1
     with mp_workdps(32):
         total = mpmath.mpc(0)
-        reps = [PAdicLatticePoint(u, A, p).value for u in range(q)]
-        for lam0 in reps:
-            philam = psi_phase(Fraction(n) * lam0, p)
-            for mu0 in reps:
-                phimu = psi_phase(Fraction(r) * mu0, p)
-                inner = mpmath.mpc(0)
-                for kap0 in reps:
-                    if chi is None or chi.n_p == 0:
-                        zeta = chi.chi_at_p if chi is not None else Fraction(1)
-                        val = _f_lower_spherical(mu0, kap0, lam0, p, zeta, s)
-                    else:
-                        val = _f_integrand_value(mu0, kap0, lam0, chi, s)
-                    if val == 0:
-                        continue
-                    phk = psi_phase(Fraction(m) * kap0, p)
-                    phase = philam * phimu * phk
-                    if chi is not None and chi.n_p > 0:
-                        phase = phase.inverse()
-                    inner += _to_c(val) * _to_c(phase)
-                total += inner
+        for (val, e), count in cells.items():
+            total += count * _to_c(val) * _to_c(RootU(Fraction(sign * e, q)))
         return total, TruncationWindow(A, window.B, tail)
 
 
@@ -1201,10 +1238,7 @@ def _random_integral_k(rng: random.Random, p: int) -> Mat:
         else:
             x = rng.choice([1, 2, p - 1, p + 1])
             gens.append(c0_matrix(x))
-    out = IDENT
-    for g in gens:
-        out = mat_mul(out, g)
-    return out
+    return mat_mul(*gens)
 
 
 def bootstrap_minor_valuation(p: int, trials: int, seed: int) -> int:

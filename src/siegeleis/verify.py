@@ -66,7 +66,7 @@ def _quadratic_local(p: int, chi_at_p: int = 1) -> LocalCharacterData:
 
 def suite_n1_classical(seed: int = 0):
     """a(n,0,0) = 240 sigma_3(n) for k = 4, N = 1, 1 <= n <= 10, exactly."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     spec = EisensteinSpec(4, DirichletCharacter(1, 1))
     lines = []
     ok = True
@@ -76,7 +76,7 @@ def suite_n1_classical(seed: int = 0):
         if got != want:
             ok = False
             lines.append(f"  n={n}: got {got}, want {want}")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     lines.append(f"classical rank-1 values, n = 1..10, exact ({elapsed:.3f}s)")
     return ok and elapsed < 1.0, lines
 
@@ -87,7 +87,7 @@ def suite_eichler_zagier(seed: int = 0):
     All psd T with 4nm - r^2 <= 100 inside the entry box n, m <= 25 (every
     class (Delta, content) with Delta <= 100 is realized there).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines = []
     ok = True
     checked = 0
@@ -106,7 +106,7 @@ def suite_eichler_zagier(seed: int = 0):
                     if lhs != rhs:
                         ok = False
                         lines.append(f"  k={k} T={T}: assembly {lhs} != comparator {rhs}")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     lines.append(f"Eichler-Zagier reduction: {checked} forms, exact equality ({elapsed:.1f}s)")
     return ok and elapsed < 60.0, lines
 
@@ -138,7 +138,7 @@ def suite_unramified(seed: int = 0):
     e <= f <= 2, chi_D(p) in {-1, 0, 1}; the oracle value is exact (the
     shell summation has certified truncation error 0 < p^(-10)).
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines = []
     ok = True
     checked = 0
@@ -158,7 +158,7 @@ def suite_unramified(seed: int = 0):
                                     f"  p={p} (e,f,L)=({e},{f},{L}) zeta={zeta} s={s}: "
                                     f"{formula} != {oracle}"
                                 )
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     lines.append(
         f"unramified local formula: {checked} parameter points, exact agreement "
         f"(oracle tail = 0 < p^-10) ({elapsed:.1f}s)"
@@ -174,7 +174,7 @@ def unramified_local_factor_from(p, zeta, L, e, f, s):
 
 def suite_volumes(seed: int = 0):
     """Every row of the volume table at p in {3, 5}, i in 0..4, depth B = 8."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines = []
     ok = True
     checked = 0
@@ -216,14 +216,14 @@ def suite_volumes(seed: int = 0):
                 if got != want:
                     ok = False
                     lines.append(f"  p={p} {label} (n,m,j,i)=({n},{m},{j},{i}): {got} != {want}")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     lines.append(f"volume table: {checked} row instances at depth B = 8, exact ({elapsed:.2f}s)")
     return ok, lines
 
 
 def suite_series(seed: int = 0):
     """Both generating-series identities to bidegree (6, 6), 12 combos."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines = []
     ok = True
     combos = [
@@ -235,7 +235,7 @@ def suite_series(seed: int = 0):
         if not rep["ok"]:
             ok = False
             lines.append(f"  (n,m,p)=({n},{m},{p}): first mismatches {rep['mismatches'][:3]}")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     lines.append(
         f"generating series: {len(combos)} parameter combos, term-by-term to (6,6) ({elapsed:.2f}s)"
     )
@@ -244,7 +244,7 @@ def suite_series(seed: int = 0):
 
 def suite_k_table(seed: int = 0):
     """Every K-table row at p in {3, 5}, n_p = 1, quadratic chi, vs the j-sum."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines = []
     ok = True
     checked = 0
@@ -272,7 +272,7 @@ def suite_k_table(seed: int = 0):
                     if abs(res.value - oracle) > bound + tol:
                         ok = False
                         lines.append(f"  p={p} chi(p)={chi_at_p} T={T} s={s}: {res.value} != {oracle}")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     lines.append(
         f"K table: {checked} instances (both chi(p) signs), closed form vs defining sum, "
         f"largest certified tail {float(max_tail):.3g} ({elapsed:.2f}s)"
@@ -296,7 +296,7 @@ def _fundamental_discs(bound: int) -> list[int]:
 
 def suite_point_counts(seed: int = 0):
     """a_p by Legendre sum vs naive enumeration, p <= 50, |D| <= 20; Hasse."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines = []
     ok = True
     checked = 0
@@ -312,7 +312,7 @@ def suite_point_counts(seed: int = 0):
             if abs(a1) >= 2 * math.sqrt(p):
                 ok = False
                 lines.append(f"  D={D} p={p}: |a_p| = {abs(a1)} violates Hasse")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     lines.append(
         f"point counts: {checked} (D, p) pairs, Legendre vs enumeration + Hasse ({elapsed:.2f}s)"
     )
@@ -321,7 +321,7 @@ def suite_point_counts(seed: int = 0):
 
 def suite_gauss_sums(seed: int = 0):
     """|G(eta)|^2 = N for primitive eta, N <= 50 (exact when quadratic)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines = []
     ok = True
     checked = exact_checked = 0
@@ -341,7 +341,7 @@ def suite_gauss_sums(seed: int = 0):
                 if abs(abs(val) ** 2 - N) > tol:
                     ok = False
                     lines.append(f"  eta={eta.label}: |G|^2 = {abs(val)**2} != {N}")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     lines.append(
         f"Gauss sums: {checked} primitive characters to 1e-25, {exact_checked} exact quadratic "
         f"({elapsed:.2f}s)"
@@ -351,7 +351,7 @@ def suite_gauss_sums(seed: int = 0):
 
 def suite_support(seed: int = 0):
     """a(T) = 0 off the support, exhaustively over |n|,|r|,|m| <= 12, N = 3."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     lines = []
     ok = True
     spec = EisensteinSpec(5, DirichletCharacter(3, 2))
@@ -367,7 +367,7 @@ def suite_support(seed: int = 0):
                 if not rec.is_zero():
                     ok = False
                     lines.append(f"  T={T}: expected 0, got {rec.value}")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     lines.append(
         f"structural support: {checked} off-support forms, all zero (N = 3, k = 5) ({elapsed:.2f}s)"
     )
@@ -379,10 +379,10 @@ def suite_bootstrap(seed: int = 1234):
     lines = []
     ok = True
     for p in (3, 5):
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             n = bootstrap_minor_valuation(p, 200, seed)
-            elapsed = time.time() - t0
+            elapsed = time.perf_counter() - t0
             lines.append(
                 f"bootstrap p={p}: {n} random parabolic-times-integral elements, exact "
                 f"(seed {seed}) ({elapsed:.2f}s)"

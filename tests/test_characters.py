@@ -10,6 +10,7 @@ from siegeleis.characters import (
     DirichletCharacter,
     characters_mod,
     gauss_sum,
+    gauss_sum_numeric,
     kronecker_character,
     local_component,
     parity,
@@ -17,7 +18,7 @@ from siegeleis.characters import (
     primitive_characters_mod,
     product_with_kronecker,
 )
-from siegeleis.cyclotomic import RootU
+from siegeleis.cyclotomic import Cyclotomic, RootU
 from siegeleis.scalars import mp_workdps, to_mpc
 
 
@@ -98,6 +99,33 @@ def test_gauss_sum_conjugate_identity():
             prod = gauss_sum(eta) * gauss_sum(bar)
             sign = 1 if parity(eta) == 0 else -1
             assert prod.is_rational() and prod.as_fraction() == sign * N
+
+
+def _gauss_sum_reference(eta) -> Cyclotomic:
+    """The Fraction-phase `gauss_sum` that the integer phase histogram replaced."""
+    N = eta.modulus
+    if N == 1:
+        return Cyclotomic.from_rational(1)
+    n = math.lcm(N, eta.order())
+    coeffs = [0] * n
+    for a in range(N):
+        t = eta.exponent(a)
+        if t is None:
+            continue
+        k = (t + Fraction(a, N)) * n
+        assert k.denominator == 1
+        coeffs[k.numerator % n] += 1
+    return Cyclotomic(n, coeffs)
+
+
+def test_gauss_sum_integer_phases_match_fraction_reference():
+    with mp_workdps():
+        tol = mpmath.mpf(10) ** -40
+        for N in range(1, 31):
+            for eta in primitive_characters_mod(N):
+                got, want = gauss_sum(eta), _gauss_sum_reference(eta)
+                assert got == want and (got.n, got.c) == (want.n, want.c)
+                assert abs(gauss_sum_numeric(eta) - to_mpc(got)) < tol
 
 
 def test_local_component_values():

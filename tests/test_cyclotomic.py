@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from siegeleis.arith import divisors, moebius
 from siegeleis.cyclotomic import Cyclotomic, RootU, cyclotomic_polynomial
 from siegeleis.scalars import Exact, mp_workdps, to_mpc
 
@@ -21,6 +22,59 @@ def test_cyclotomic_polynomial():
     assert cyclotomic_polynomial(1) == (Fraction(-1), Fraction(1))
     assert cyclotomic_polynomial(4) == (Fraction(1), Fraction(0), Fraction(1))
     assert cyclotomic_polynomial(6) == (Fraction(1), Fraction(-1), Fraction(1))
+
+
+def _poly_divide_reference(num: list, den: list) -> list:
+    """Long division over Q, one Fraction quotient per step; remainder must vanish."""
+    num = [Fraction(c) for c in num]
+    terms = [(j, dj) for j, dj in enumerate(den) if dj]
+    out = [Fraction(0)] * (len(num) - len(den) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        c = out[i] = num[i + len(den) - 1] / den[-1]
+        if c:
+            for j, dj in terms:
+                num[i + j] -= c * dj
+    assert not any(num[: len(den) - 1])
+    return out
+
+
+def _cyclotomic_polynomial_reference(n: int) -> tuple:
+    """Phi_n = prod_{d | n} (x^d - 1)^mu(n/d), multiplied and divided over Q."""
+    poly = [Fraction(1)]
+    below = []
+    for d in divisors(n):
+        mu = moebius(n // d)
+        if mu == 1:
+            # times x^d - 1: shift by d, less the polynomial itself
+            poly = [-c for c in poly] + [Fraction(0)] * d
+            for i, c in enumerate(poly[: len(poly) - d]):
+                poly[i + d] -= c
+        elif mu == -1:
+            below.append([Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)])
+    for den in below:
+        poly = _poly_divide_reference(poly, den)
+    return tuple(poly)
+
+
+def test_integer_cyclotomic_polynomials_match_fraction_reference():
+    for n in range(1, 301):
+        phi = cyclotomic_polynomial(n)
+        assert all(type(c) is int for c in phi)
+        assert phi[-1] == 1
+        assert phi == _cyclotomic_polynomial_reference(n)
+
+
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_1():
+    for n in range(1, 301):
+        prod = [1]
+        for d in divisors(n):
+            out = [0] * (len(prod) + len(cyclotomic_polynomial(d)) - 1)
+            for j, c in enumerate(cyclotomic_polynomial(d)):
+                if c:
+                    for i, a in enumerate(prod):
+                        out[i + j] += a * c
+            prod = out
+        assert prod == [-1] + [0] * (n - 1) + [1]
 
 
 def test_relations_collapse():

@@ -12,6 +12,7 @@ from siegeleis.cyclotomic import RootU
 from siegeleis.localfactors import GoodPlaceInput, unramified_local_factor
 from siegeleis.oracle import (
     IDENT,
+    J1,
     S1,
     S2,
     TruncationWindow,
@@ -24,8 +25,10 @@ from siegeleis.oracle import (
     k_oracle,
     lower_unipotent,
     mat_mul,
+    mat_transpose,
     paramodular_class_index,
     psi_phase,
+    ramified_integral_exact,
     ramified_section_value,
     spherical_section_value,
     spherical_weight,
@@ -35,11 +38,12 @@ from siegeleis.oracle import (
     volume_R,
     volume_R_exact,
     volume_S,
+    similitude,
     sl2_lower_identity,
 )
 from siegeleis.oracle import _f_integrand_value, _mat, _ramanujan, _residue_valuation_counts
 from siegeleis.scalars import mp_workdps, to_mpc
-from siegeleis.verify import _quadratic_local
+from siegeleis.verify import _quadratic_local, run_suite
 
 
 def quad_local(p):
@@ -87,6 +91,57 @@ def test_sl2_identity():
 def test_bootstrap():
     for p in (3, 5):
         assert bootstrap_minor_valuation(p, 200, seed=1234) == 200
+
+
+def _mat_mul_reference(*ms):
+    """The entrywise Fraction product that the integer `mat_mul` replaced."""
+    out = ms[0]
+    for b in ms[1:]:
+        out = tuple(
+            tuple(sum(out[i][k] * b[k][j] for k in range(4)) for j in range(4)) for i in range(4)
+        )
+    return out
+
+
+def test_mat_mul_matches_fraction_reference():
+    rng = random.Random(5)
+    for p in (2, 3, 5):
+        dens = [1, p, p**2, p**3, 1 + p, 1 - p, p * (1 + p)]
+        for _ in range(60):
+            ms = [
+                _mat([[Fraction(rng.randint(-9, 9), rng.choice(dens)) for _ in range(4)] for _ in range(4)])
+                for _ in range(rng.randint(2, 5))
+            ]
+            got = mat_mul(*ms)
+            assert got == _mat_mul_reference(*ms)
+            assert all(type(x) is Fraction for row in got for x in row)
+
+
+def test_similitude_from_integer_form():
+    from siegeleis.oracle import _random_integral_k, _random_p_element
+
+    rng = random.Random(11)
+    for p in (3, 5):
+        for _ in range(40):
+            q, v = _random_p_element(rng, p)
+            g = mat_mul(q, _random_integral_k(rng, p))
+            m = _mat_mul_reference(mat_transpose(g), J1, g)
+            lam = m[0][3]
+            assert m == tuple(tuple(lam * x for x in row) for row in J1)
+            assert similitude(g) == lam
+            assert spherical_weight(g, p) == v
+            # doubling a row leaves the similitude group: diag(2,1,1,1) J1 is
+            # not a multiple of J1
+            with pytest.raises(ValueError, match="not in the similitude group"):
+                similitude((tuple(2 * x for x in g[0]),) + g[1:])
+    with pytest.raises(ValueError, match="singular"):
+        similitude(_mat([[0] * 4] * 4))
+
+
+def test_bootstrap_suite_seeds():
+    for seed in range(1, 6):
+        ok, lines = run_suite("bootstrap-oracle", seed)
+        assert ok, lines
 
 
 def test_paramodular_classifier():
@@ -239,6 +294,23 @@ def test_riemann_sum_cross_check():
         T2 = HalfIntegralForm(1, 2, 2)  # A T A^t for A = [[1,0],[1,1]]
         val2, win2 = brute_force_local_integral(T2, 3, None, 4, TruncationWindow(3, 0, Fraction(0)))
         assert abs(val2 - to_mpc(exact)) <= float(win2.tail) + float(win.tail)
+
+
+def test_riemann_sum_ramified_matches_support_sum():
+    # the window p^(-A) Z_p holds the support shells i <= A - n_p, so the two
+    # sums agree within both tails; for r != 0 the imaginary part exceeds the
+    # tails, so a conjugated phase would fail
+    eta = next(chi for chi in primitive_characters_mod(5) if chi.order() == 4)
+    cases = [(_quadratic_local(3, c), 3, T) for c in (1, -1) for T in ((1, 1, 9), (2, 3, 9), (1, 0, 9))]
+    cases.append((local_component(eta, 5), 2, (1, 1, 25)))
+    with mp_workdps():
+        for chi, A, (n, r, m) in cases:
+            T = HalfIntegralForm(n, r, m)
+            val, win = brute_force_local_integral(T, chi.p, chi, 4, TruncationWindow(A, 0, Fraction(0)))
+            exact, tail = ramified_integral_exact(T, chi, 4, i_max=A - chi.n_p)
+            assert abs(val - exact) <= float(win.tail + tail)
+            if r:
+                assert abs(val.imag) > float(win.tail + tail)
 
 
 def test_riemann_certify_guard():
