@@ -33,7 +33,7 @@ from .fourier import (
     expand,
     format_value,
 )
-from .scalars import get_precision, set_precision
+from .scalars import get_precision, precision_from_env, set_precision
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -245,9 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.precision:
-        set_precision(args.precision)
     try:
+        bits = args.precision if args.precision is not None else precision_from_env()
+        if bits is not None:
+            set_precision(bits)
         return args.fn(args)
     except UnsupportedPlaceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -122,9 +122,9 @@ def coefficient(spec: EisensteinSpec, T: HalfIntegralForm, oracle_policy: str = 
     """The Fourier coefficient a(T), exact for N = 1, numeric for N > 1.
 
     oracle_policy governs places p | N where K has no closed form:
-    "forbid" raises UnsupportedPlaceError, "allow" falls back to the
+    "forbid" raises UnsupportedPlaceError, "allow" falls back to the exact
     defining-sum oracle, "force" uses the oracle even where the closed form
-    exists (for cross-checking).
+    exists (for cross-checking).  An exact K = 0 from either gives a zero record.
     """
     k, eta, N = spec.k, spec.eta, spec.N
     zero = CoefficientRecord(T, Fraction(0), "zero")
@@ -201,15 +201,14 @@ def _rank2(spec: EisensteinSpec, T: HalfIntegralForm, oracle_policy: str) -> Coe
                 raise UnsupportedPlaceError(p)
             from .oracle import k_oracle
 
-            K_val, bound = k_oracle(T, chi_p, k)
-            places.append((p, chi_p, K_val))
-            notes.append(f"p={p}:K-oracle(tail<{float(bound):.2e})")
-        elif res.value == 0:
-            # exactly 0, but numeric like every other rank-2 value at N > 1: prints 0.0,0.0
-            return CoefficientRecord(T, mpmath.mpc(0), "zero", [f"p={p}:K-closed-form"])
+            K_val, note = k_oracle(T, chi_p, k)[0], f"p={p}:K-oracle(exact)"
         else:
-            places.append((p, chi_p, res.value))
-            notes.append(f"p={p}:K-closed-form")
+            K_val, note = res.value, f"p={p}:K-closed-form"
+        if K_val == 0:
+            # exactly 0, but numeric like every other rank-2 value at N > 1: prints 0.0,0.0
+            return CoefficientRecord(T, mpmath.mpc(0), "zero", [note])
+        places.append((p, chi_p, K_val))
+        notes.append(note)
     e_hat = split_by_level(e, N).r_Nhat
     f_hat = split_by_level(f, N).r_Nhat
     from .localfactors import h_tilde

@@ -25,10 +25,11 @@ building blocks are:
   p^(-A) Z_p with a crude certified tail is kept as a cross-check and for
   r != 0; its cells are counted by (integrand value, phase exponent).
 
-* the defining j-sum of K(s, T, chi), over a tree of unit classes
+* the defining j-sum of K(s, T, chi), exactly, over a tree of unit classes
   u + p^d Z_p refined until the valuation of the argument and its unit
-  class mod p^(n_p) are fixed.  The walk is integer arithmetic on
-  G(u) = p^(2n_p) F(u); leaves go into a histogram keyed by (j, depth, unit
+  class mod p^(n_p) are fixed, or dropped as exact zeros around a simple
+  root of G(u) = p^(2n_p) F(u) (Hensel's lemma).  The walk is integer
+  arithmetic on G; leaves go into a histogram keyed by (j, depth, unit
   class), and the character and the powers of p are applied once per key.
 
 * residue-counting volumes of the sets R(i,j), S(i,j), counted over the same
@@ -91,14 +92,21 @@ class UncertifiedOracleError(RuntimeError):
 # p-adic scalars
 
 
+def _v(x: int, p: int):
+    """v_p of an integer, inf for 0."""
+    if not x:
+        return math.inf
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
 def frac_part(x: Fraction, p: int) -> Fraction:
     """{x}_p: the p-power-denominator tail of x, in [0, 1)."""
     x = Fraction(x)
-    den = x.denominator
-    t = 0
-    while den % p == 0:
-        den //= p
-        t += 1
+    t = _v(x.denominator, p)
     if t == 0:
         return Fraction(0)
     q = p**t
@@ -746,15 +754,14 @@ def _riemann_tail_bound_ramified(p: int, s: int, A: int, n_p: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # ramified integrals: K(s, T, chi) and the full I
 
-def k_oracle(T: HalfIntegralForm, chi: LocalCharacterData, s: int, j_extra: int = 6):
-    """K(s, T, chi) by direct evaluation of the defining j-sum.
+def k_oracle(T: HalfIntegralForm, chi: LocalCharacterData, s: int):
+    """K(s, T, chi) by direct evaluation of the defining j-sum, exactly.
 
     K = sum_{j >= 1 - n_p} p^(j(2-s)) int_{S(j+1, n_p)} chi(n/mu + r p^(-n_p)
     + m mu p^(-2n_p)) dmu.  Unit classes mu = u + p^d Z_p are refined
     adaptively until the valuation of F(mu) = n + r mu p^(-n_p) + m mu^2
     p^(-2n_p) and the unit class of the argument F(mu)/mu mod p^(n_p)
-    stabilize; classes that reach depth j_max contribute to a certified
-    bound instead.
+    stabilize, or until the class is seen to contribute exactly 0.
 
     The class tree is walked on the integer G(u) = p^(2n_p) F(u) = n
     p^(2n_p) + r u p^(n_p) + m u^2.  G has integer coefficients, so G(u + h)
@@ -762,77 +769,71 @@ def k_oracle(T: HalfIntegralForm, chi: LocalCharacterData, s: int, j_extra: int 
     - 2n_p exactly when p^d does not divide G(u).  A decided class is a leaf
     once d >= v(G) + n_p and d >= n_p; the unit class of its argument is
     then G(u) p^(-v(G)) u^(-1) mod p^(n_p).  Leaves are counted in a
-    histogram keyed by (j, depth, unit class) and bounded classes in one
-    keyed by (depth, exponent, kind); the character value and the powers of
-    p are applied once per key, so the walk itself is integer arithmetic.
+    histogram keyed by (j, depth, unit class); the character value and the
+    powers of p are applied once per key, so the walk itself is integer
+    arithmetic.
 
-    Returns (value, bound) with the value exact (rational for quadratic
-    chi, cyclotomic otherwise).
+    An undecided class with w = v(G'(u)) < d <= v(G(u)) - w and
+    d + v(m) - w >= n_p holds one root u0 of G (Hensel's lemma), and G(x) =
+    (x - u0)(G'(u0) + m (x - u0)) with the second factor = G'(u0) mod
+    p^(w + n_p).  On a shell x = u0 + p^e t, t a unit, j = e + w - 2n_p and
+    the unit class is t c u^(-1) mod p^(n_p) with c fixed; t runs over the
+    units and chi is ramified, so the class adds exactly 0 and is dropped.
+    (The conditions force d >= n_p, and p | G(u) forces w >= 1, so every
+    shell has j >= 1 - n_p.)  G has simple roots (discriminant
+    -p^(2n_p) Delta), so the walk ends.
+
+    Returns (value, 0), the value exact: rational or cyclotomic.
     """
     p, n_p = chi.p, chi.n_p
     n, r, m = T.n, T.r, T.m
     if T.delta == 0:
         raise ValueError("K needs nonsingular T")
-    vals = [valuation(x, p) for x in (n, r, m) if x != 0]
-    j_max = max(vals + [0]) + 2 * n_p + j_extra
+    if n_p < 1:
+        raise ValueError("the K oracle needs a ramified chi_p (n_p >= 1)")
+    # Depth bound, with D = v(disc G) = 2n_p + v(Delta).  At depth d >= d0 =
+    # D/2 + 1 + max(0, n_p - 1 - v(m)) the class of a unit root u0 is dropped
+    # (w = D/2, v(G(u)) >= d + D/2).  On an undecided class holding no root,
+    # v(G) = v(m) + v(x - u0) + v(x - u1) <= D/2 + d0 - 1: one distance is at
+    # most v(u0 - u1) = D/2 - v(m), the other below d0 (v(G) <= D for roots
+    # outside Q_p).  A decided class needs at most n_p more levels.
+    vm = _v(m, p)
+    depth_cap = 3 * n_p + _v(T.delta, p) + max(0, n_p - 1 - vm)
     c0, c1 = n * p ** (2 * n_p), r * p**n_p
     mod = p**n_p
-    pw = [p**d for d in range(max(j_max, 1) + 1)]
+    pw = [p**d for d in range(depth_cap + 1)]
     # (j, d, unit class of the argument mod p^(n_p)) -> leaf classes
     leaves: dict[tuple[int, int, int], int] = {}
-    # (d, e, geometric) -> classes bounded by p^(-d) sum_{j >= e} |X|^j
-    # (geometric) or by p^(-d) |X|^e
-    bounded: dict[tuple[int, int, bool], int] = {}
     # stack of classes (u, d): mu = u + p^d Z_p, u a unit mod p^d
     stack = [(u, 1) for u in range(1, p)]
     while stack:
         u, d = stack.pop()
         g = c0 + c1 * u + m * u * u
-        if g % pw[d] == 0:
-            # v(F) >= d - 2 n_p is not yet decided on the class
-            if d >= j_max:
-                key = (d, max(d - 2 * n_p, 1 - n_p), True)
-                bounded[key] = bounded.get(key, 0) + 1
-                continue
-            stack.extend((u + pw[d] * t, d + 1) for t in range(p))
-            continue
-        v = 0
-        while g % p == 0:
-            g //= p
-            v += 1
-        j = v - 2 * n_p
+        v = _v(g, p)
         # the unit class of F(u)/u mod p^(n_p) depends on G mod p^(v + n_p)
         # and on u mod p^(n_p); both are fixed on the class once d reaches them
-        if d < v + n_p or d < n_p:
-            if d >= j_max:
-                key = (d, max(j, 1 - n_p), False)
-                bounded[key] = bounded.get(key, 0) + 1
-                continue
-            stack.extend((u + pw[d] * t, d + 1) for t in range(p))
+        if d >= v + n_p and d >= n_p:
+            j = v - 2 * n_p
+            if j < 1 - n_p:
+                raise AssertionError("support violates j >= 1 - n_p")
+            key = (j, d, g // pw[v] * pow(u, -1, mod) % mod)
+            leaves[key] = leaves.get(key, 0) + 1
             continue
-        if j < 1 - n_p:
-            raise AssertionError("support violates j >= 1 - n_p")
-        key = (j, d, g * pow(u, -1, mod) % mod)
-        leaves[key] = leaves.get(key, 0) + 1
+        if v >= d and (w := _v(c1 + 2 * m * u, p)) < d <= v - w and d + vm - w >= n_p:
+            continue  # one simple root of G in the class: it adds exactly 0
+        if d >= depth_cap:
+            raise AssertionError(f"class tree deeper than its bound {depth_cap}")
+        stack.extend((u + pw[d] * t, d + 1) for t in range(p))
 
     X = Fraction(p) ** (2 - s)
     total = Fraction(0)
     for (j, d, unit), count in leaves.items():
         val = (chi.chi_at_p**j * chi.unit_value(unit)).as_scalar()
         total = total + val * (count * Fraction(p) ** (-d) * X**j)
-    bound = Fraction(0)
-    for (d, e, geometric), count in bounded.items():
-        bound += count * Fraction(p) ** (-d) * (_geom_abs(X, e) if geometric else abs(X) ** e)
-    return total, bound
+    return total, Fraction(0)
 
 
-def _geom_abs(X: Fraction, j_lo: int) -> Fraction:
-    """sum_{j >= j_lo} |X|^j for |X| < 1."""
-    aX = abs(X)
-    return aX**j_lo / (1 - aX)
-
-
-def ramified_integral_exact(T: HalfIntegralForm, chi: LocalCharacterData, s: int, i_max: int = 8):
+def ramified_integral_exact(T: HalfIntegralForm, chi: LocalCharacterData, s: int, i_max: int | None = None):
     """The ramified local triple integral, by summation over the support.
 
     The section is supported on two explicit families (the support lemma),
@@ -844,12 +845,17 @@ def ramified_integral_exact(T: HalfIntegralForm, chi: LocalCharacterData, s: int
 
     each an explicit unit sum; the kappa integral contributes
     delta_(v(m) >= 2n) p^(2n) times a phase.  I_2 shells with i > i_max are
-    bounded into the returned certificate.
+    bounded into the returned certificate.  By default i_max is the largest
+    i >= 1 whose shell, about p^(2i + n_p) unit pairs, stays within 2*10^6.
 
     Returns (value: mpc at working precision, tail: Fraction).
     """
     p, n_p = chi.p, chi.n_p
     n, r, m = T.n, T.r, T.m
+    if i_max is None:
+        i_max = 1
+        while p ** (2 * i_max + 2 + n_p) <= 2 * 10**6:
+            i_max += 1
     if m != 0 and valuation(m, p) < 2 * n_p:
         return mpmath.mpc(0), Fraction(0)
     # Unit values as exponents in Q/Z for exact slot accumulation.
@@ -939,10 +945,7 @@ def _residue_valuation_counts(nrm: tuple, j: int, p: int, B: int):
             else:
                 stack.extend((u + pw[d] * k, d + 1) for k in range(p))
             continue
-        v = 0
-        while val % p == 0:
-            val //= p
-            v += 1
+        v = _v(val, p)
         if v - t >= horizon:
             undecided += pw[B - d]
         else:

@@ -8,9 +8,10 @@ symbolic so the cancellation is literal: multiply everything, then assert
 the pi-exponent is 0 and the radicand is 1 and read off the rational.
 
 Numeric work (any character of order > 2) uses mpmath at a configurable
-binary precision; `set_precision`/`get_precision` holds the default, which
-the CLI can override via flag or the SIEGELEIS_PRECISION environment
-variable.
+binary precision of at least 53 bits; `set_precision`/`get_precision`
+holds the default, which the SIEGELEIS_PRECISION environment variable sets
+at import and the CLI can override by flag.  The CLI rejects an invalid
+value from either source.
 """
 
 from __future__ import annotations
@@ -24,25 +25,38 @@ import mpmath
 from .arith import factorize
 from .cyclotomic import Cyclotomic, RootU
 
-__all__ = ["Exact", "set_precision", "get_precision", "mp_workdps", "to_mpc"]
+__all__ = ["Exact", "set_precision", "get_precision", "precision_from_env", "mp_workdps", "to_mpc"]
 
 _DEFAULT_PRECISION_BITS = 192
 
 
-def _env_precision() -> int:
+def precision_from_env() -> int | None:
+    """SIEGELEIS_PRECISION in bits, or None when unset.
+
+    Raises ValueError unless it is an integer of at least 53.
+    """
+    text = os.environ.get("SIEGELEIS_PRECISION")
+    if text is None:
+        return None
     try:
-        return int(os.environ.get("SIEGELEIS_PRECISION", _DEFAULT_PRECISION_BITS))
+        bits = int(text)
     except ValueError:
-        return _DEFAULT_PRECISION_BITS
+        bits = 0
+    if bits < 53:
+        raise ValueError(f"SIEGELEIS_PRECISION={text!r} is not an integer of at least 53 bits")
+    return bits
 
 
-_precision_bits = _env_precision()
+try:
+    _precision_bits = precision_from_env() or _DEFAULT_PRECISION_BITS
+except ValueError:  # the CLI reports it; the library keeps the default
+    _precision_bits = _DEFAULT_PRECISION_BITS
 
 
 def set_precision(bits: int) -> None:
     global _precision_bits
     if bits < 53:
-        raise ValueError("precision below 53 bits is not supported")
+        raise ValueError(f"precision {bits} is below the supported 53 bits")
     _precision_bits = bits
 
 

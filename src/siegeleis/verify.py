@@ -243,13 +243,11 @@ def suite_series(seed: int = 0):
 
 
 def suite_k_table(seed: int = 0):
-    """Every K-table row at p in {3, 5}, n_p = 1, quadratic chi, vs the j-sum."""
+    """Every K-table row at p in {3, 5}, n_p = 1, quadratic chi, equal to the j-sum."""
     t0 = time.perf_counter()
     lines = []
     ok = True
     checked = 0
-    max_tail = Fraction(0)
-    tol = Fraction(1, 10**10)
     for p in (3, 5):
         for chi_at_p in (1, -1):
             chi = _quadratic_local(p, chi_at_p)
@@ -266,16 +264,14 @@ def suite_k_table(seed: int = 0):
                     continue
                 for s in (4, 5):
                     res = K_closed_form(RamifiedPlaceInput(p, chi, T, s))
-                    oracle, bound = k_oracle(T, chi, s)
+                    oracle = k_oracle(T, chi, s)[0]
                     checked += 1
-                    max_tail = max(max_tail, bound)
-                    if abs(res.value - oracle) > bound + tol:
+                    if res.value != oracle:
                         ok = False
                         lines.append(f"  p={p} chi(p)={chi_at_p} T={T} s={s}: {res.value} != {oracle}")
     elapsed = time.perf_counter() - t0
     lines.append(
-        f"K table: {checked} instances (both chi(p) signs), closed form vs defining sum, "
-        f"largest certified tail {float(max_tail):.3g} ({elapsed:.2f}s)"
+        f"K table: {checked} instances (both chi(p) signs), closed form == defining sum ({elapsed:.2f}s)"
     )
     return ok, lines
 

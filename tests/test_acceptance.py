@@ -2,10 +2,10 @@
 
 Each test runs the corresponding named verification suite and prints a
 single pass/fail line; `pytest -s tests/test_acceptance.py` shows them all.
-Tolerances are pinned here and inside the suites: exact rational equality
-where stated, 10^-10 for the K table, 10^-25 for Gauss sums, certified
-oracle tails below p^-10 for the unramified comparison (the exact shell
-summation in fact certifies 0).
+Tolerances are pinned here and inside the suites: exact equality where
+stated (the K table included), 10^-25 for Gauss sums, certified oracle
+tails below p^-10 for the unramified comparison (the exact shell summation
+in fact certifies 0).
 """
 
 import pytest
@@ -53,7 +53,7 @@ def test_criterion_5_generating_series():
 
 def test_criterion_6_k_table():
     # every K-table row at p in {3,5}, n_p = 1, quadratic chi: closed form
-    # equals the defining j-sum, exact or within 10^-10
+    # equals the defining j-sum exactly
     _run("k-table")
 
 

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from siegeleis import scalars
 from siegeleis.cli import EXIT_DOMAIN, EXIT_UNSUPPORTED_PLACE, main
 
 
@@ -108,15 +114,63 @@ def test_local_K_oracle_output_is_stable(capsys):
     cases = [
         (("-p", "5", "-c", "5:2", "-T", "1,0,25"),
          '{"which": "K", "closed_form": null, "provenance": "needs-oracle", "oracle": "0", '
-         '"oracle_tail": "1/11548399925231933593750"}\n'),
+         '"oracle_tail": "0"}\n'),
         (("-p", "13", "-c", "13:2", "-T", "1,13,169"),
          '{"which": "K", "closed_form": null, "provenance": "needs-oracle", '
          '"oracle": "1/13*z12^0 + 2/13*z12^1 + 1/13*z12^2", '
-         '"oracle_tail": "1/221288862825203043576757344096206754"}\n'),
+         '"oracle_tail": "0"}\n'),
     ]
     for args, want in cases:
         code, out, _ = run(capsys, "local", "K", "--chi", "x", "-s", "5", *args)
         assert code == 0 and out == want
+
+
+def test_local_ramified_finishes_within_tail(capsys):
+    # the default number of support shells keeps the last one near 2e6 unit pairs
+    code, out, _ = run(capsys, "local", "ramified", "-p", "3", "-T", "1,1,9", "-s", "4")
+    assert code == 0
+    rec = json.loads(out)
+    tail = Fraction(rec["oracle_tail"])
+    assert 0 < tail < Fraction(1, 10**8) and float(rec["difference"]) <= tail
+
+
+@pytest.fixture
+def keep_precision(monkeypatch):
+    monkeypatch.delenv("SIEGELEIS_PRECISION", raising=False)
+    bits = scalars.get_precision()
+    yield monkeypatch
+    scalars.set_precision(bits)
+
+
+def test_precision_flag_rejects_bad_values(capsys, keep_precision):
+    for bits in ("40", "0", "-5"):
+        code, _, err = run(capsys, "--precision", bits, "coeff", "-k", "4", "-c", "1:1", "1", "0", "0")
+        assert code == EXIT_DOMAIN and err.startswith("error:"), bits
+    with pytest.raises(SystemExit) as info:
+        main(["--precision", "abc", "coeff", "-k", "4", "-c", "1:1", "1", "0", "0"])
+    assert info.value.code == EXIT_DOMAIN and "error:" in capsys.readouterr().err
+    code, out, _ = run(capsys, "--precision", "53", "expand", "-k", "4", "-c", "1:1", "--bound", "0")
+    assert code == 0 and json.loads(out.splitlines()[0])["header"]["precision_bits"] == 53
+
+
+def test_precision_env_rejects_bad_values(capsys, keep_precision):
+    for text in ("10", "52", "abc", ""):
+        keep_precision.setenv("SIEGELEIS_PRECISION", text)
+        code, out, err = run(capsys, "expand", "-k", "5", "-c", "3:2", "--bound", "1")
+        assert code == EXIT_DOMAIN and out == "" and err.startswith("error:"), text
+    keep_precision.setenv("SIEGELEIS_PRECISION", "200")
+    code, out, _ = run(capsys, "expand", "-k", "5", "-c", "3:2", "--bound", "1")
+    assert code == 0 and json.loads(out.splitlines()[0])["header"]["precision_bits"] == 200
+    # the flag takes precedence over the environment
+    code, out, _ = run(capsys, "--precision", "64", "expand", "-k", "5", "-c", "3:2", "--bound", "1")
+    assert code == 0 and json.loads(out.splitlines()[0])["header"]["precision_bits"] == 64
+    # imported with a bad value, the library keeps its default
+    src = str(Path(scalars.__file__).parents[1])
+    for text in ("10", "abc"):
+        env = {**os.environ, "PYTHONPATH": src, "SIEGELEIS_PRECISION": text}
+        probe = "from siegeleis import scalars; print(scalars.get_precision())"
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout == "192\n", text
 
 
 def test_verify_fast_suites(capsys):

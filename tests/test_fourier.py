@@ -101,6 +101,20 @@ def test_level3_rank2_dual_K_routes():
         assert any("K-oracle" in s for s in forced.notes)
 
 
+def test_exact_zero_K_is_zero_record_on_both_routes():
+    # an oracle K of exactly 0 gives a zero record, as a closed-form 0 does
+    cases = [
+        ("5:2", 5, (1, 0, 25), "allow", "p=5:K-oracle(exact)"),
+        ("8:5", 4, (1, 8, 64), "allow", "p=2:K-oracle(exact)"),
+        ("3:2", 5, (1, 0, 9), "force", "p=3:K-oracle(exact)"),
+        ("3:2", 5, (1, 0, 9), "forbid", "p=3:K-closed-form"),
+    ]
+    for label, k, nrm, policy, note in cases:
+        rec = coefficient(EisensteinSpec(k, DirichletCharacter.from_label(label)), HalfIntegralForm(*nrm), policy)
+        assert rec.is_zero() and rec.notes == [note], (label, nrm, policy)
+        assert format_value(rec) == "0.0,0.0"
+
+
 def test_unsupported_place():
     eta5 = DirichletCharacter(5, 2)  # order 4: no closed form for K at p = 5
     spec = EisensteinSpec(5, eta5)
@@ -208,6 +222,20 @@ def test_sign_automorphy():
             plus = coefficient(spec, T)
             minus = coefficient(spec, HalfIntegralForm(T.n, -T.r, T.m))
             assert abs(mpmath.mpc(minus.value) + mpmath.mpc(plus.value)) < tol, T
+        # places where only the oracle gives K: p = 5, 13 (orders 4, 12) and p = 2
+        for label, k, forms in (
+            ("5:2", 5, [(1, 5, 25), (2, 5, 25), (1, 10, 50)]),
+            ("13:2", 5, [(1, 13, 169), (2, 13, 169)]),
+            ("4:3", 5, [(1, 2, 16), (1, 4, 16)]),
+            ("8:5", 4, [(1, 2, 64), (1, 4, 64)]),
+        ):
+            spec = EisensteinSpec(k, DirichletCharacter.from_label(label))
+            for nrm in forms:
+                T = HalfIntegralForm(*nrm)
+                plus = coefficient(spec, T, oracle_policy="allow")
+                minus = coefficient(spec, HalfIntegralForm(T.n, -T.r, T.m), oracle_policy="allow")
+                assert plus.mode == "numeric" and plus.notes == minus.notes, (label, T)
+                assert abs(mpmath.mpc(minus.value) - (-1) ** k * mpmath.mpc(plus.value)) < tol, (label, T)
         spec4 = EisensteinSpec(4, TRIV)
         assert coefficient(spec4, HalfIntegralForm(1, 1, 1)).value == coefficient(
             spec4, HalfIntegralForm(1, -1, 1)
