@@ -370,6 +370,9 @@ class LocalCharacterData:
     chi_at_p: RootU
     unit_values: dict  # u mod p^(n_p), coprime to p -> RootU
 
+    def __hash__(self):
+        return hash((self.p, self.n_p, self.chi_at_p, tuple(self.unit_values.items())))
+
     def unit_value(self, u: int) -> RootU:
         if self.n_p == 0:
             return RootU.one()

@@ -159,12 +159,9 @@ def cmd_local(args) -> int:
         print(json.dumps(row))
         return EXIT_OK
     # ramified: closed form and oracle
-    res = K_closed_form(RamifiedPlaceInput(args.p, chi, T, args.s))
-    if res.provenance == "needs-oracle":
-        K_val = k_oracle(T, chi, args.s)[0]
-    else:
-        K_val = res.value
-    closed = ramified_local_factor(RamifiedPlaceInput(args.p, chi, T, args.s), K_val)
+    place = RamifiedPlaceInput(args.p, chi, T, args.s)
+    res = K_closed_form(place)
+    closed = ramified_local_factor(place, res.value if res.available else k_oracle(T, chi, args.s)[0])
     oracle_val, tail = ramified_integral_exact(T, chi, args.s)
     diff = abs(to_mpc(closed) - oracle_val)
     print(
@@ -228,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-f", type=int, default=0)
     sp.add_argument("-L", type=int, default=1, choices=(-1, 0, 1))
     sp.add_argument("--chip", type=int, default=1, choices=(1, -1), help="chi_p(p)")
-    sp.add_argument("--np", type=int, default=1, dest="n_p")
     sp.add_argument("--chi", default="quad", help="'quad' or use -c label")
     sp.add_argument("-c", "--character", default=None)
     sp.add_argument("-i", type=int, default=0)
@@ -244,7 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the working precision it sets is restored on every exit."""
     args = build_parser().parse_args(argv)
+    caller_bits = get_precision()
     try:
         bits = args.precision if args.precision is not None else precision_from_env()
         if bits is not None:
@@ -263,6 +261,8 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_UNCERTIFIED
         raise
+    finally:
+        set_precision(caller_bits)
 
 
 if __name__ == "__main__":

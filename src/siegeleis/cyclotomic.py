@@ -279,15 +279,20 @@ class Cyclotomic:
 
     def to_mpc(self) -> mpmath.mpc:
         total = mpmath.mpc(0)
-        for i, ci in enumerate(self.c):
+        for ci, root in zip(self.c, _root_values(self.n, mpmath.mp.prec)):
             if ci:
-                term = mpmath.expjpi(2 * mpmath.mpf(i) / self.n)
-                total += term * mpmath.mpf(ci.numerator) / ci.denominator
+                total += root * mpmath.mpf(ci.numerator) / ci.denominator
         return total
 
     def __repr__(self):
         terms = [f"{c}*z{self.n}^{i}" for i, c in enumerate(self.c) if c]
         return " + ".join(terms) if terms else "0"
+
+
+@lru_cache(maxsize=None)
+def _root_values(n: int, prec: int) -> tuple:
+    """zeta_n^i for i < deg Phi_n at mpmath's current precision, `prec` bits."""
+    return tuple(mpmath.expjpi(2 * mpmath.mpf(i) / n) for i in range(_phi_terms(n)[0]))
 
 
 def _solve_fraction_system(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

@@ -2,20 +2,25 @@
 
 For a primitive character eta mod N with eta(-1) = (-1)^k and k >= 4 the
 coefficients are supported on positive semidefinite T = [[n, r/2], [r/2, m]]
-with N^2 | m.  The three branches:
+with N^2 | m.  The three branches, one formula each for every N:
 
 rank 0:  1 exactly when N = 1;
-rank 1:  nonzero for N = 1, or when m > 0 and r_N = (2m)_N / N, with a
-         twisted divisor sum over the content;
+rank 1:  (-2 pi i)^k / (k-1)! times the twisted divisor sum over the content
+         over L(k, eta); for N > 1 nonzero only when m > 0 and
+         r_N = (2m)_N / N, with the extra factor eta(r_Nhat) / eta(2_Nhat);
 rank 2:  archimedean prefactor (4 pi)^(2k-1) det(T)^(k-3/2) / (2 (2k-2)!)
-         times N^(2-2k) f_Nhat^(3-2k) eta(f_Nhat^2) H~(e_Nhat, f_Nhat)
-         times L(k-1, chi_D eta) / (L(k, eta) L(2k-2, eta^2)) times G(eta)
-         times the product over p | N of chi_p(r) (p not dividing r) or
-         p^(n_p(2-k)) chi_p(p^(n_p)) K(k, T, chi_p) (p | r).
+         times the ramified local factor I_p(T) of `ramified_local_factor`
+         at each p | N (with K(k, T, chi_p) where p | r) times
+         f_Nhat^(3-2k) eta(f_Nhat^2) H~(e_Nhat, f_Nhat) times
+         L(k-1, chi_D eta) / (L(k, eta) L(2k-2, eta^2)).  The epsilon
+         factors inside the I_p multiply to (-1)^k G(eta) / sqrt(N), so no
+         global Gauss sum is inserted.
 
-For N = 1 every value is an exact rational: pi-powers and sqrt(|D|) are
-carried symbolically and cancel between the prefactor, the zeta values and
-the quadratic L-value.  For N > 1 values are high-precision complex.
+Everything but the L-values is exact: pi-powers, sqrt(|D|) and the
+cyclotomic numbers of the local factors are carried in `Exact`.  Exact
+L-values multiply in exactly, so for N = 1 every value is an exact
+rational.  For N > 1, L(k, eta) at least is numeric; the numeric L-values
+are multiplied in last, and the values are high-precision complex.
 
 `eichler_zagier_coefficient` is an independent level-one comparator built
 from Cohen's H function via generalized Bernoulli numbers: a fully rational
@@ -36,20 +41,20 @@ from .arith import (
     content,
     divisor_sum,
     divisors,
+    factorize,
     fundamental_discriminant,
     split_by_level,
-    valuation,
 )
 from .characters import (
     DirichletCharacter,
     local_component,
-    gauss_sum,
     parity,
     power_character,
     product_with_kronecker,
 )
-from .localfactors import K_closed_form, RamifiedPlaceInput
-from .lvalues import bernoulli, cohen_h, dirichlet_l, l_quadratic_exact, zeta
+from .cyclotomic import RootU
+from .localfactors import K_closed_form, RamifiedPlaceInput, h_tilde, ramified_local_factor
+from .lvalues import bernoulli, cohen_h, dirichlet_l, l_quadratic_exact
 from .scalars import Exact, mp_workdps, to_mpc
 
 __all__ = [
@@ -112,10 +117,8 @@ class CoefficientRecord:
 
 @lru_cache(maxsize=None)
 def _spec_invariants(spec: EisensteinSpec):
-    """G(eta) and the pairs (p, chi_p) for p | N in ascending p, once per spec."""
-    from .arith import factorize
-
-    return gauss_sum(spec.eta), tuple((p, local_component(spec.eta, p)) for p, _ in factorize(spec.N))
+    """The pairs (p, chi_p) for p | N in ascending p, once per spec."""
+    return tuple((p, local_component(spec.eta, p)) for p, _ in factorize(spec.N))
 
 
 def coefficient(spec: EisensteinSpec, T: HalfIntegralForm, oracle_policy: str = "forbid") -> CoefficientRecord:
@@ -126,7 +129,7 @@ def coefficient(spec: EisensteinSpec, T: HalfIntegralForm, oracle_policy: str = 
     defining-sum oracle, "force" uses the oracle even where the closed form
     exists (for cross-checking).  An exact K = 0 from either gives a zero record.
     """
-    k, eta, N = spec.k, spec.eta, spec.N
+    N = spec.N
     zero = CoefficientRecord(T, Fraction(0), "zero")
     if not T.is_positive_semidefinite():
         return zero
@@ -141,95 +144,77 @@ def coefficient(spec: EisensteinSpec, T: HalfIntegralForm, oracle_policy: str = 
     return _rank2(spec, T, oracle_policy)
 
 
+def _record(T: HalfIntegralForm, val: Exact, lvalues, notes: list) -> CoefficientRecord:
+    """The record of val times L^e over the pairs (L, e), e = +-1, in lvalues.
+
+    Exact L-values are multiplied into val.  The numeric ones are multiplied
+    in last, at working precision, after one conversion of the exact part.
+    The record is exact-rational when the product is a rational Exact.
+    """
+    numeric = []
+    for L, e in lvalues:
+        if isinstance(L, Exact):
+            val = val * L if e > 0 else val / L
+        else:
+            numeric.append((L, e))
+    if not numeric and val.is_rational():
+        return CoefficientRecord(T, val.as_fraction(), "exact-rational", notes)
+    with mp_workdps():
+        z = to_mpc(val)
+        for L, e in numeric:
+            z = z * L if e > 0 else z / L
+        return CoefficientRecord(T, z, "numeric", notes)
+
+
 def _rank1(spec: EisensteinSpec, T: HalfIntegralForm) -> CoefficientRecord:
     k, eta, N = spec.k, spec.eta, spec.N
-    e = content(T)
-    if N == 1:
-        # Both rank-1 branches collapse to sigma_(k-1)(content) at level 1;
-        # k is even, so (-2 pi i)^k = (-1)^(k/2) (2 pi)^k.
-        sign = -1 if (k // 2) % 2 else 1
-        num = Exact(Fraction(sign * 2**k, math.factorial(k - 1)), k)
-        sigma = divisor_sum(e, k - 1)
-        val = num * sigma / zeta(k).value
-        return CoefficientRecord(T, val.as_fraction(), "exact-rational")
-    # N > 1: nonzero only for m > 0 with r_N = (2m)_N / N
-    if T.m <= 0 or T.r == 0:
-        return CoefficientRecord(T, Fraction(0), "zero")
-    r_split = split_by_level(T.r, N)
-    m2_split = split_by_level(2 * T.m, N)
-    if r_split.r_N * N != m2_split.r_N:
-        return CoefficientRecord(T, Fraction(0), "zero")
-    e_split = split_by_level(e, N)
-    two_split = split_by_level(2, N)
-    with mp_workdps():
-        val = (-2j * mpmath.pi) ** k / math.factorial(k - 1)
-        val *= to_mpc(divisor_sum(e_split.r_Nhat, k - 1, eta))
-        val /= dirichlet_l(k, eta).to_mpc()
-        val *= to_mpc(eta(r_split.r_Nhat)) / to_mpc(eta(two_split.r_Nhat))
-        val *= mpmath.mpf(e_split.r_N) ** (k - 1)
-        return CoefficientRecord(T, mpmath.mpc(val), "numeric")
+    # (-2 pi i)^k / (k-1)!
+    val = Exact(Fraction((-2) ** k, math.factorial(k - 1)), k) * RootU(Fraction(k, 4))
+    if N > 1:
+        # nonzero only for m > 0 with r_N = (2m)_N / N
+        if T.m <= 0 or T.r == 0 or split_by_level(T.r, N).r_N * N != split_by_level(2 * T.m, N).r_N:
+            return CoefficientRecord(T, Fraction(0), "zero")
+        val *= eta(split_by_level(T.r, N).r_Nhat) * eta(split_by_level(2, N).r_Nhat).inverse()
+    e_split = split_by_level(content(T), N)
+    val *= divisor_sum(e_split.r_Nhat, k - 1, eta) * Fraction(e_split.r_N) ** (k - 1)
+    return _record(T, val, [(dirichlet_l(k, eta).value, -1)], [])
 
 
 def _rank2(spec: EisensteinSpec, T: HalfIntegralForm, oracle_policy: str) -> CoefficientRecord:
     k, eta, N = spec.k, spec.eta, spec.N
     split = fundamental_discriminant(T.r * T.r - 4 * T.n * T.m)
     D, f = split.D, split.f
-    e = content(T)
+    # det(T)^(k-3/2) = (Delta/4)^(k-2) * (f/2) sqrt(-D)
+    val = Exact(Fraction(4 ** (2 * k - 1), 2 * math.factorial(2 * k - 2)), 2 * k - 1)
+    val *= Fraction(T.delta, 4) ** (k - 2) * Fraction(f, 2) * Exact.sqrt(-D)
+    # the ramified places first, so an exactly vanishing K skips the L-values
     notes = []
-    if N == 1:
-        from .localfactors import h_tilde
-
-        # det(T)^(k-3/2) = (Delta/4)^(k-2) * (f/2) sqrt(-D)
-        pref = Exact(Fraction(4 ** (2 * k - 1), 2 * math.factorial(2 * k - 2)), 2 * k - 1)
-        pref *= Fraction(T.delta, 4) ** (k - 2) * Fraction(f, 2)
-        pref *= Exact.sqrt(-D)
-        val = pref * Fraction(f) ** (3 - 2 * k) * h_tilde(D, k, eta, e, f)
-        val = val * l_quadratic_exact(k - 1, D)
-        val = val / zeta(k).value / zeta(2 * k - 2).value
-        return CoefficientRecord(T, val.as_fraction(), "exact-rational", notes)
-    # N > 1: the place factors first, so an exactly vanishing K skips the L-values
-    G, local = _spec_invariants(spec)
-    places = []  # (p, chi_p, K or None at a unit place)
-    for p, chi_p in local:
-        if T.r != 0 and T.r % p:
-            places.append((p, chi_p, None))
-            notes.append(f"p={p}:unit")
-            continue
-        res = K_closed_form(RamifiedPlaceInput(p, chi_p, T, k))
-        if res.provenance == "needs-oracle" or oracle_policy == "force":
-            if oracle_policy == "forbid":
-                raise UnsupportedPlaceError(p)
-            from .oracle import k_oracle
-
-            K_val, note = k_oracle(T, chi_p, k)[0], f"p={p}:K-oracle(exact)"
+    for p, chi_p in _spec_invariants(spec):
+        place = RamifiedPlaceInput(p, chi_p, T, k)
+        if T.r % p:
+            K_val, note = None, f"p={p}:unit"
         else:
-            K_val, note = res.value, f"p={p}:K-closed-form"
-        if K_val == 0:
-            # exactly 0, but numeric like every other rank-2 value at N > 1: prints 0.0,0.0
-            return CoefficientRecord(T, mpmath.mpc(0), "zero", [note])
-        places.append((p, chi_p, K_val))
-        notes.append(note)
-    e_hat = split_by_level(e, N).r_Nhat
-    f_hat = split_by_level(f, N).r_Nhat
-    from .localfactors import h_tilde
+            res = K_closed_form(place)
+            if res.provenance == "needs-oracle" or oracle_policy == "force":
+                if oracle_policy == "forbid":
+                    raise UnsupportedPlaceError(p)
+                from .oracle import k_oracle
 
-    with mp_workdps():
-        val = (4 * mpmath.pi) ** (2 * k - 1) / (2 * mpmath.factorial(2 * k - 2))
-        val *= (mpmath.mpf(T.delta) / 4) ** (mpmath.mpf(2 * k - 3) / 2)
-        val *= mpmath.mpf(N) ** (2 - 2 * k) * mpmath.mpf(f_hat) ** (3 - 2 * k)
-        val *= to_mpc(eta(f_hat * f_hat))
-        val *= to_mpc(h_tilde(D, k, eta, e_hat, f_hat))
-        val *= dirichlet_l(k - 1, product_with_kronecker(eta, D)).to_mpc()
-        val /= dirichlet_l(k, eta).to_mpc() * dirichlet_l(2 * k - 2, power_character(eta, 2)).to_mpc()
-        val *= to_mpc(G)
-        for p, chi_p, K_val in places:
-            if K_val is None:
-                val *= to_mpc(chi_p.value(T.r))
-                continue
-            val *= mpmath.mpf(p) ** (chi_p.n_p * (2 - k))
-            val *= to_mpc(chi_p.chi_at_p**chi_p.n_p)
-            val *= to_mpc(K_val)
-        return CoefficientRecord(T, mpmath.mpc(val), "numeric", notes)
+                K_val, note = k_oracle(T, chi_p, k)[0], f"p={p}:K-oracle(exact)"
+            else:
+                K_val, note = res.value, f"p={p}:K-closed-form"
+            if K_val == 0:
+                # exactly 0, but numeric like every other rank-2 value at N > 1: prints 0.0,0.0
+                return CoefficientRecord(T, mpmath.mpc(0), "zero", [note])
+        val *= ramified_local_factor(place, K_val)
+        notes.append(note)
+    e_hat = split_by_level(content(T), N).r_Nhat
+    f_hat = split_by_level(f, N).r_Nhat
+    val *= Fraction(f_hat) ** (3 - 2 * k) * eta(f_hat * f_hat) * h_tilde(D, k, eta, e_hat, f_hat)
+    L_D = l_quadratic_exact(k - 1, D) if N == 1 else dirichlet_l(k - 1, product_with_kronecker(eta, D)).value
+    L_eta = dirichlet_l(k, eta).value
+    L_eta2 = dirichlet_l(2 * k - 2, power_character(eta, 2)).value
+    return _record(T, val, [(L_D, 1), (L_eta, -1), (L_eta2, -1)], notes)
 
 
 def expand(

@@ -11,7 +11,8 @@
 Conventions.  The additive character of Q_p with conductor Z_p used
 throughout is psi_p(x) = e^(-2 pi i {x}_p), the local component of the
 standard global character; with this choice the product of the local
-epsilon factors over p | N equals (-1)^k G(eta) / sqrt(N).
+epsilon factors over p | N equals (-1)^k G(eta) / sqrt(N), which is how
+G(eta) enters the a(T) that `fourier` assembles from the ramified factors.
 
 The K table is keyed on the three shifted valuations a = v(n),
 b = v(r) - n_p, c = v(m) - 2 n_p, and the exponent e in its entries is
@@ -310,11 +311,13 @@ def local_gauss_sum(chi: LocalCharacterData) -> Cyclotomic:
     return total
 
 
+@lru_cache(maxsize=None)
 def epsilon_exact_parts(chi: LocalCharacterData):
     """epsilon(1/2, chi_p, psi_p) = p^(-n_p/2) * (exact cyclotomic part).
 
     With psi_p(x) = e^(-2 pi i {x}_p) the exact part is
-    chi_p(p)^(n_p) eta_p(-1) G(eta_p).  Returns (cyclotomic, n_p).
+    chi_p(p)^(n_p) eta_p(-1) G(eta_p).  Returns (cyclotomic, n_p), computed
+    once per chi_p.
     """
     if chi.n_p < 1:
         raise ValueError("epsilon factor requires a ramified character")
@@ -342,7 +345,8 @@ def ramified_local_factor(inp: RamifiedPlaceInput, K_value):
 
     The half-integral power of p combines with the epsilon factor into
     p^(n_p(2-2s)) times an exact cyclotomic, so the result is exact whenever
-    K is.
+    K is.  `fourier` assembles a(T) at level N > 1 from these factors, one
+    per p | N, with K from `K_closed_form` or the oracle.
     """
     p, chi, T, s = inp.p, inp.chi, inp.T, inp.s
     n_p = chi.n_p
@@ -351,9 +355,8 @@ def ramified_local_factor(inp: RamifiedPlaceInput, K_value):
     eps_part, _ = epsilon_exact_parts(chi)
     pref = Fraction(p) ** (n_p * (2 - 2 * s))
     if T.r != 0 and valuation(T.r, p) == 0:
-        branch = chi.value(-T.r).as_scalar()
-        return pref * (eps_part * branch)
+        return eps_part * (pref * chi.value(-T.r).as_scalar())
     if K_value is None:
         raise ValueError("K value required when v(r) > 0")
     branch = (chi.value(Fraction(-(p**n_p)))).as_scalar() * Fraction(p) ** (n_p * (2 - s))
-    return pref * (eps_part * branch) * K_value
+    return eps_part * (pref * branch * K_value)

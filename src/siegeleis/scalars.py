@@ -4,8 +4,10 @@ The level-1 Fourier coefficients are rational, but the intermediate factors
 are not: the archimedean prefactor carries pi^(2k-1), the zeta values carry
 pi^k and pi^(2k-2), and det(T)^(k-3/2) together with the odd quadratic
 L-value carries sqrt(|D|) on both sides.  `Exact` keeps those symbols
-symbolic so the cancellation is literal: multiply everything, then assert
-the pi-exponent is 0 and the radicand is 1 and read off the rational.
+symbolic so the cancellation is literal: multiply everything, then check
+the pi-exponent is 0 and the radicand is 1 and read off the rational.  The
+coefficient q is a Fraction or a `Cyclotomic`, so character values, Gauss
+sums and the ramified local factors of level N > 1 multiply in exactly too.
 
 Numeric work (any character of order > 2) uses mpmath at a configurable
 binary precision of at least 53 bits; `set_precision`/`get_precision`
@@ -82,12 +84,13 @@ class mp_workdps:
 
 @dataclass(frozen=True)
 class Exact:
-    """The real number q * pi^pi_pow * sqrt(root), root a positive integer.
+    """The number q * pi^pi_pow * sqrt(root), root a positive integer.
 
-    `root` is kept squarefree; multiplication extracts square factors into q.
+    q is a Fraction or a Cyclotomic; `root` is kept squarefree, and
+    multiplication extracts square factors into q.
     """
 
-    q: Fraction
+    q: object  # Fraction | Cyclotomic
     pi_pow: int = 0
     root: int = 1
 
@@ -107,7 +110,9 @@ class Exact:
         return Exact(q, 0, root)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, RootU):
+            other = other.as_scalar()
+        if isinstance(other, (int, Fraction, Cyclotomic)):
             return Exact(self.q * other, self.pi_pow, self.root)
         if isinstance(other, Exact):
             q2, root = _extract_square(self.root * other.root)
@@ -146,21 +151,13 @@ class Exact:
         return Exact(-self.q, self.pi_pow, self.root)
 
     def is_rational(self) -> bool:
-        return self.q == 0 or (self.pi_pow == 0 and self.root == 1)
+        q_rational = not isinstance(self.q, Cyclotomic) or self.q.is_rational()
+        return self.q == 0 or (q_rational and self.pi_pow == 0 and self.root == 1)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.q
-
-    def to_mpf(self) -> mpmath.mpf:
-        with mp_workdps():
-            val = mpmath.mpf(self.q.numerator) / self.q.denominator
-            if self.pi_pow:
-                val *= mpmath.pi ** self.pi_pow
-            if self.root != 1:
-                val *= mpmath.sqrt(self.root)
-            return val
+        return self.q.as_fraction() if isinstance(self.q, Cyclotomic) else self.q
 
     def __repr__(self):
         s = str(self.q)
@@ -187,7 +184,7 @@ def to_mpc(value) -> mpmath.mpc:
         if isinstance(value, (int, Fraction)):
             return mpmath.mpc(mpmath.mpf(Fraction(value).numerator) / Fraction(value).denominator)
         if isinstance(value, Exact):
-            return mpmath.mpc(value.to_mpf())
+            return to_mpc(value.q) * mpmath.pi**value.pi_pow * mpmath.sqrt(value.root)
         if isinstance(value, (RootU, Cyclotomic)):
             return mpmath.mpc(value.to_mpc())
         if isinstance(value, (mpmath.mpf, mpmath.mpc, float, complex)):

@@ -103,10 +103,13 @@ def test_local_unramified(capsys):
 
 
 def test_local_K_dual(capsys):
-    code, out, _ = run(capsys, "local", "K", "-p", "3", "--np", "1", "--chi", "quad",
-                       "-T", "1,0,9", "-s", "4")
+    code, out, _ = run(capsys, "local", "K", "-p", "3", "--chi", "quad", "-T", "1,0,9", "-s", "4")
     rec = json.loads(out)
     assert code == 0 and rec["closed_form"] == rec["oracle"]
+    # n_p comes from the character, so there is no --np option
+    with pytest.raises(SystemExit) as info:
+        main(["local", "K", "-p", "3", "--chi", "quad", "-T", "1,0,9", "--np", "2"])
+    assert info.value.code == EXIT_DOMAIN and "--np" in capsys.readouterr().err
 
 
 def test_local_K_oracle_output_is_stable(capsys):
@@ -151,6 +154,22 @@ def test_precision_flag_rejects_bad_values(capsys, keep_precision):
     assert info.value.code == EXIT_DOMAIN and "error:" in capsys.readouterr().err
     code, out, _ = run(capsys, "--precision", "53", "expand", "-k", "4", "-c", "1:1", "--bound", "0")
     assert code == 0 and json.loads(out.splitlines()[0])["header"]["precision_bits"] == 53
+
+
+def test_main_restores_the_working_precision(capsys, keep_precision):
+    # on success, on a domain error and on an unsupported place alike
+    bits = scalars.get_precision()
+    for argv, want in (
+        (["--precision", "128", "coeff", "-k", "4", "-c", "1:1", "1", "0", "0"], 0),
+        (["--precision", "128", "coeff", "-k", "3", "-c", "1:1", "1", "0", "0"], EXIT_DOMAIN),
+        (["--precision", "128", "coeff", "-k", "5", "-c", "5:2", "1", "5", "25"], EXIT_UNSUPPORTED_PLACE),
+    ):
+        assert main(argv) == want
+        assert scalars.get_precision() == bits, argv
+    keep_precision.setenv("SIEGELEIS_PRECISION", "96")
+    assert main(["coeff", "-k", "4", "-c", "1:1", "1", "0", "0"]) == 0
+    assert scalars.get_precision() == bits
+    capsys.readouterr()
 
 
 def test_precision_env_rejects_bad_values(capsys, keep_precision):

@@ -121,5 +121,5 @@ def test_exact_scalar_algebra():
     with pytest.raises(ValueError):
         (Exact.pi(1) + Exact.of(1))
     with mp_workdps():
-        val = Exact(Fraction(1, 2), 1, 2).to_mpf()  # pi sqrt(2) / 2
+        val = to_mpc(Exact(Fraction(1, 2), 1, 2))  # pi sqrt(2) / 2
         assert abs(val - mpmath.pi * mpmath.sqrt(2) / 2) < mpmath.mpf(10) ** -40

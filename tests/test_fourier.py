@@ -3,10 +3,20 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from siegeleis import fourier, lvalues
-from siegeleis.arith import HalfIntegralForm
-from siegeleis.characters import DirichletCharacter
+from siegeleis import fourier, localfactors, lvalues
+from siegeleis.arith import HalfIntegralForm, content, factorize, fundamental_discriminant, split_by_level
+from siegeleis.characters import (
+    DirichletCharacter,
+    gauss_sum,
+    local_component,
+    parity,
+    power_character,
+    primitive_characters_mod,
+    product_with_kronecker,
+)
 from siegeleis.fourier import (
     EisensteinSpec,
     UnsupportedPlaceError,
@@ -15,7 +25,10 @@ from siegeleis.fourier import (
     expand,
     format_value,
 )
-from siegeleis.scalars import mp_workdps
+from siegeleis.localfactors import K_closed_form, RamifiedPlaceInput, h_tilde
+from siegeleis.lvalues import dirichlet_l
+from siegeleis.oracle import k_oracle
+from siegeleis.scalars import mp_workdps, to_mpc
 
 TRIV = DirichletCharacter(1, 1)
 ETA3 = DirichletCharacter(3, 2)
@@ -161,6 +174,7 @@ def _clear_caches():
     lvalues._L_VALUES.clear()
     lvalues.l_quadratic_exact.cache_clear()
     fourier._spec_invariants.cache_clear()
+    localfactors.epsilon_exact_parts.cache_clear()
 
 
 def test_coefficient_cold_and_warm_caches_agree():
@@ -249,3 +263,129 @@ def test_good_place_collapse():
 
     assert h_tilde(-4, 4, TRIV, 1, 1) == 1
     assert h_tilde(-3, 5, ETA3, 1, 1) == 1
+
+
+def _spec_for(eta: DirichletCharacter) -> EisensteinSpec:
+    return EisensteinSpec(5 if parity(eta) else 4, eta)
+
+
+def _small_forms(N: int, delta_max: int) -> list[HalfIntegralForm]:
+    """Rank-2 forms (n, r, N^2) with n minimal for r and Delta <= delta_max.
+
+    Up to four of the smallest Delta for each pattern of which p | N divide
+    r, so the unit and the K branch of every place both occur where they can.
+    """
+    N2 = N * N
+    by_pattern: dict[tuple, list] = {}
+    for r in range(-N2, N2):
+        n = r * r // (4 * N2) + 1
+        delta = 4 * n * N2 - r * r
+        if delta <= delta_max:
+            pattern = tuple(r % p == 0 for p, _ in factorize(N))
+            by_pattern.setdefault(pattern, []).append((delta, n, r))
+    return [HalfIntegralForm(n, r, N2) for forms in by_pattern.values() for _, n, r in sorted(forms)[:4]]
+
+
+def _global_gauss_sum_rank2(spec: EisensteinSpec, T: HalfIntegralForm):
+    """The rank-2 formula for N > 1 with a global Gauss sum, as a reference.
+
+    (4 pi)^(2k-1) det(T)^(k-3/2) / (2 (2k-2)!) N^(2-2k) f_Nhat^(3-2k)
+    eta(f_Nhat^2) H~ L(k-1, chi_D eta) / (L(k, eta) L(2k-2, eta^2)) G(eta),
+    times chi_p(r) at each p | N prime to r, else p^(n_p(2-k)) chi_p(p)^(n_p) K.
+    Returns (value, notes), with value None when a K is exactly 0.
+    """
+    k, eta, N = spec.k, spec.eta, spec.N
+    split = fundamental_discriminant(-T.delta)
+    D, f = split.D, split.f
+    places, notes = [], []
+    for p, _ in factorize(N):
+        chi_p = local_component(eta, p)
+        if T.r % p:
+            places.append(chi_p.value(T.r))
+            notes.append(f"p={p}:unit")
+            continue
+        res = K_closed_form(RamifiedPlaceInput(p, chi_p, T, k))
+        if res.available:
+            K_val, note = res.value, f"p={p}:K-closed-form"
+        else:
+            K_val, note = k_oracle(T, chi_p, k)[0], f"p={p}:K-oracle(exact)"
+        if K_val == 0:
+            return None, [note]
+        places.append(Fraction(p) ** (chi_p.n_p * (2 - k)) * (chi_p.chi_at_p**chi_p.n_p) * K_val)
+        notes.append(note)
+    e_hat = split_by_level(content(T), N).r_Nhat
+    f_hat = split_by_level(f, N).r_Nhat
+    with mp_workdps():
+        val = (4 * mpmath.pi) ** (2 * k - 1) / (2 * mpmath.factorial(2 * k - 2))
+        val *= (mpmath.mpf(T.delta) / 4) ** (mpmath.mpf(2 * k - 3) / 2)
+        val *= mpmath.mpf(N) ** (2 - 2 * k) * mpmath.mpf(f_hat) ** (3 - 2 * k)
+        val *= to_mpc(eta(f_hat * f_hat)) * to_mpc(h_tilde(D, k, eta, e_hat, f_hat))
+        val *= dirichlet_l(k - 1, product_with_kronecker(eta, D)).to_mpc()
+        val /= dirichlet_l(k, eta).to_mpc() * dirichlet_l(2 * k - 2, power_character(eta, 2)).to_mpc()
+        val *= to_mpc(gauss_sum(eta))
+        for factor in places:
+            val *= to_mpc(factor)
+        return val, notes
+
+
+def test_local_factor_assembly_matches_global_gauss_sum_formula():
+    # the product of the ramified local factors equals G(eta) N^(2-2k) times
+    # chi_p(r) or p^(n_p(2-k)) chi_p(p)^(n_p) K at each p | N, for every primitive eta mod N
+    tol = mpmath.mpf(2) ** -150
+    for N in (3, 4, 5, 7, 8, 12):
+        for eta in primitive_characters_mod(N):
+            spec = _spec_for(eta)
+            for T in _small_forms(N, 40):
+                rec = coefficient(spec, T, oracle_policy="allow")
+                want, notes = _global_gauss_sum_rank2(spec, T)
+                assert rec.notes == notes, (eta.label, T)
+                if want is None:
+                    assert rec.is_zero(), (eta.label, T)
+                    continue
+                assert rec.mode == "numeric", (eta.label, T)
+                with mp_workdps():
+                    assert abs(rec.value - want) <= tol * abs(want), (eta.label, T)
+
+
+# Generators of the U in GL2(Z) with N^2 | b, acting by T[U] = U^t T U,
+# each with det(U).
+def _lower(T, N):  # [[1, 0], [1, 1]]
+    return HalfIntegralForm(T.n + T.r + T.m, T.r + 2 * T.m, T.m), 1
+
+
+def _upper(T, N):  # [[1, N^2], [0, 1]]
+    b = N * N
+    return HalfIntegralForm(T.n, T.r + 2 * T.n * b, T.m + T.r * b + T.n * b * b), 1
+
+
+def _flip(T, N):  # diag(1, -1)
+    return HalfIntegralForm(T.n, -T.r, T.m), -1
+
+
+INVARIANCE_LABELS = ["1:1", "3:2", "4:3", "5:2", "7:3", "8:5", "12:11", "13:4", "15:2", "16:3"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    label=st.sampled_from(INVARIANCE_LABELS),
+    pick=st.integers(min_value=0),
+    word=st.lists(st.sampled_from([_lower, _upper, _flip]), min_size=1, max_size=4),
+)
+def test_gamma0_invariance(label, pick, word):
+    # a(T[U]) = det(U)^k a(T) for U in GL2(Z) with N^2 | b
+    spec = _spec_for(DirichletCharacter.from_label(label))
+    forms = _small_forms(spec.N, 60)
+    T = forms[pick % len(forms)]
+    U_T, det = T, 1
+    for g in word:
+        U_T, sign = g(U_T, spec.N)
+        det *= sign
+    assert U_T.delta == T.delta
+    base = coefficient(spec, T, oracle_policy="allow")
+    moved = coefficient(spec, U_T, oracle_policy="allow")
+    assert (moved.mode, moved.notes) == (base.mode, base.notes)
+    if base.mode != "numeric":
+        assert moved.value == det**spec.k * base.value
+        return
+    with mp_workdps():
+        assert abs(moved.value - det**spec.k * base.value) <= mpmath.mpf(2) ** -150 * abs(base.value)
