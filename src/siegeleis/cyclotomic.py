@@ -7,17 +7,18 @@ Two layers:
   multiplicative manipulation (products, inverses, conjugates, powers) is
   exact rational arithmetic on exponents.
 
-* `Cyclotomic` -- an element of the field Q(zeta_n), stored as a coefficient
-  vector on 1, zeta, ..., zeta^(n-1) and canonically reduced modulo the n-th
-  cyclotomic polynomial.  Supports field inversion, so Euler-type factors
-  with character-valued coefficients can be computed exactly.
+* `Cyclotomic` -- an element of the field Q(zeta_n), stored as an integer
+  vector on 1, zeta, ..., zeta^(deg-1), canonically reduced modulo the n-th
+  cyclotomic polynomial, over one positive integer denominator.  Every
+  operation runs in ints: sums over the lcm of the denominators, products
+  by one fold and one reduction, and the field inverse as the product of
+  the other Galois conjugates over the rational norm.  Euler-type factors
+  with character-valued coefficients are thus computed exactly.
 
-Only small n appear (lcm of a character order with small prime powers), so
-dense coefficient vectors and Gaussian elimination over Q are entirely
-adequate.  The cyclotomic polynomials are integer vectors, found by exact
-division of monic integer polynomials.  Products and reductions of integer
-coefficient vectors, as for Gauss sums, run in ints; the Fraction vector is
-built once per element.
+The cyclotomic polynomials are integer vectors, found by exact division of
+monic integer polynomials.  One index map zeta_n^i -> zeta_m^(a i) embeds
+Q(zeta_n) in Q(zeta_m) (a = m/n) and gives the conjugates (m = n, a a unit
+mod n; a = -1 is complex conjugation).
 """
 
 from __future__ import annotations
@@ -130,38 +131,49 @@ class RootU:
 
 
 class Cyclotomic:
-    """Element of Q(zeta_n), reduced mod Phi_n on the basis 1..zeta^(n-1)."""
+    """The element num(zeta_n) / den of Q(zeta_n).
 
-    __slots__ = ("n", "c")
+    `num` is an integer vector on 1, zeta, ..., zeta^(deg-1), reduced mod
+    Phi_n, and den > 0 with gcd(num, den) = 1, so equal elements of one
+    field have equal (num, den).
+    """
 
-    def __init__(self, n: int, coeffs):
-        self.n = n
-        # int coefficients are reduced as ints and made Fractions only once
-        c = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs]
-        c += [0] * (n - len(c))
-        self.c = [Fraction(x) for x in self._reduce(n, c)]
+    __slots__ = ("n", "num", "den")
 
-    @staticmethod
-    def _reduce(n: int, c: list) -> list:
+    def __init__(self, n: int, num, den: int = 1):
+        if den == 0:
+            raise ZeroDivisionError("cyclotomic denominator 0")
         deg, terms = _phi_terms(n)
+        c = list(num)
         for i in range(len(c) - 1, deg - 1, -1):
             lead = c[i]
             if lead:
-                c[i] = 0
                 for j, phi_j in terms:
                     c[i - deg + j] -= lead * phi_j
-        return c[:deg] + [0] * max(0, deg - len(c))
+        c = c[:deg] + [0] * (deg - len(c))
+        g = math.gcd(den, *c)
+        if den < 0:
+            g = -g
+        self.n = n
+        self.num = tuple(x // g for x in c)
+        self.den = den // g
 
     @classmethod
     def zeta_power(cls, n: int, k: int) -> "Cyclotomic":
-        k %= n
-        coeffs = [Fraction(0)] * (k + 1)
-        coeffs[k] = Fraction(1)
-        return cls(n, coeffs)
+        return cls(n, [0] * (k % n) + [1])
 
     @classmethod
     def from_rational(cls, q, n: int = 1) -> "Cyclotomic":
-        return cls(n, [Fraction(q)])
+        q = Fraction(q)
+        return cls(n, [q.numerator], q.denominator)
+
+    def _map(self, m: int, a: int) -> "Cyclotomic":
+        """The image in Q(zeta_m) under zeta_n^i -> zeta_m^(a i)."""
+        c = [0] * m
+        for i, x in enumerate(self.num):
+            if x:
+                c[a * i % m] += x
+        return Cyclotomic(m, c, self.den)
 
     def _promote(self, other) -> tuple["Cyclotomic", "Cyclotomic"]:
         if isinstance(other, RootU):
@@ -173,33 +185,25 @@ class Cyclotomic:
         if self.n == other.n:
             return self, other
         m = math.lcm(self.n, other.n)
-        return self._embed(m), other._embed(m)
-
-    def _embed(self, m: int) -> "Cyclotomic":
-        k = m // self.n
-        coeffs = [Fraction(0)] * m
-        for i, ci in enumerate(self.c):
-            if ci:
-                coeffs[(i * k) % m] += ci
-        return Cyclotomic(m, coeffs)
+        return self._map(m, m // self.n), other._map(m, m // other.n)
 
     def __add__(self, other):
         a, b = self._promote(other)
         if a is NotImplemented:
             return NotImplemented
-        return Cyclotomic(a.n, [x + y for x, y in zip(a.c, b.c)])
+        den = math.lcm(a.den, b.den)
+        sa, sb = den // a.den, den // b.den
+        return Cyclotomic(a.n, [x * sa + y * sb for x, y in zip(a.num, b.num)], den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.n, [-x for x in self.c])
+        return Cyclotomic(self.n, [-x for x in self.num], self.den)
 
     def __sub__(self, other):
         if isinstance(other, RootU):
             other = other.as_scalar()
-        if isinstance(other, (int, Fraction)):
-            return self + (-Fraction(other))
-        if isinstance(other, Cyclotomic):
+        if isinstance(other, (int, Fraction, Cyclotomic)):
             return self + (-other)
         return NotImplemented
 
@@ -208,84 +212,73 @@ class Cyclotomic:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Cyclotomic(self.n, [x * q for x in self.c])
+            return Cyclotomic(self.n, [x * other.numerator for x in self.num], self.den * other.denominator)
         a, b = self._promote(other)
         if a is NotImplemented:
             return NotImplemented
         n = a.n
-        xs = [(i, x) for i, x in enumerate(a.c) if x]
-        ys = [(j, y) for j, y in enumerate(b.c) if y]
-        if all(x.denominator == 1 for _, x in xs + ys):
-            # integer coefficients, as for Gauss sums: multiply in ints
-            xs = [(i, x.numerator) for i, x in xs]
-            ys = [(j, y.numerator) for j, y in ys]
+        ys = [(j, y) for j, y in enumerate(b.num) if y]
         folded = [0] * n
-        for i, x in xs:
-            for j, y in ys:
-                folded[(i + j) % n] += x * y
-        return Cyclotomic(n, folded)
+        for i, x in enumerate(a.num):
+            if x:
+                for j, y in ys:
+                    folded[(i + j) % n] += x * y
+        return Cyclotomic(n, folded, a.den * b.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Cyclotomic(self.n, [x / q for x in self.c])
+            return self * (1 / Fraction(other))
         a, b = self._promote(other)
+        if a is NotImplemented:
+            return NotImplemented
         return a * b.inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
     def inverse(self) -> "Cyclotomic":
-        """Field inverse, by solving (mult-by-self) x = 1 over Q."""
-        deg = len(self.c)
-        if not any(self.c):
+        """x^(-1) = prod_(a != 1) sigma_a(x) / N(x), the norm N(x) rational."""
+        if not any(self.num):
             raise ZeroDivisionError("cyclotomic division by zero")
-        # Columns: self * zeta^j expressed on the reduced basis.
-        cols = []
-        for j in range(deg):
-            prod = self * Cyclotomic.zeta_power(self.n, j)
-            cols.append(prod.c)
-        mat = [[cols[j][i] for j in range(deg)] for i in range(deg)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (deg - 1)
-        sol = _solve_fraction_system(mat, rhs)
-        return Cyclotomic(self.n, sol)
+        n = self.n
+        others = Cyclotomic.from_rational(1, n)
+        for a in range(2, n):
+            if math.gcd(a, n) == 1:
+                others = others * self._map(n, a)
+        return others / (self * others).as_fraction()
 
     def conjugate(self) -> "Cyclotomic":
-        coeffs = [Fraction(0)] * self.n
-        for i, ci in enumerate(self.c):
-            if ci:
-                coeffs[(-i) % self.n] += ci
-        return Cyclotomic(self.n, coeffs)
+        return self._map(self.n, -1)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, RootU, Cyclotomic)):
             a, b = self._promote(other)
-            return a.c == b.c
+            return (a.num, a.den) == (b.num, b.den)
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Cyclotomic", self.n, tuple(self.c)))
+        return hash(("Cyclotomic", self.n, self.num, self.den))
 
     def is_rational(self) -> bool:
-        return not any(self.c[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not rational")
-        return self.c[0]
+        return Fraction(self.num[0], self.den)
 
     def to_mpc(self) -> mpmath.mpc:
         total = mpmath.mpc(0)
-        for ci, root in zip(self.c, _root_values(self.n, mpmath.mp.prec)):
-            if ci:
-                total += root * mpmath.mpf(ci.numerator) / ci.denominator
+        for x, root in zip(self.num, _root_values(self.n, mpmath.mp.prec)):
+            if x:
+                q = Fraction(x, self.den)
+                total += root * mpmath.mpf(q.numerator) / q.denominator
         return total
 
     def __repr__(self):
-        terms = [f"{c}*z{self.n}^{i}" for i, c in enumerate(self.c) if c]
+        terms = [f"{Fraction(x, self.den)}*z{self.n}^{i}" for i, x in enumerate(self.num) if x]
         return " + ".join(terms) if terms else "0"
 
 
@@ -293,19 +286,3 @@ class Cyclotomic:
 def _root_values(n: int, prec: int) -> tuple:
     """zeta_n^i for i < deg Phi_n at mpmath's current precision, `prec` bits."""
     return tuple(mpmath.expjpi(2 * mpmath.mpf(i) / n) for i in range(_phi_terms(n)[0]))
-
-
-def _solve_fraction_system(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Q with partial pivoting by nonzero entry."""
-    n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]

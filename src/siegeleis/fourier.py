@@ -177,7 +177,7 @@ def _rank1(spec: EisensteinSpec, T: HalfIntegralForm) -> CoefficientRecord:
         val *= eta(split_by_level(T.r, N).r_Nhat) * eta(split_by_level(2, N).r_Nhat).inverse()
     e_split = split_by_level(content(T), N)
     val *= divisor_sum(e_split.r_Nhat, k - 1, eta) * Fraction(e_split.r_N) ** (k - 1)
-    return _record(T, val, [(dirichlet_l(k, eta).value, -1)], [])
+    return _record(T, val, [(dirichlet_l(k, eta), -1)], [])
 
 
 def _rank2(spec: EisensteinSpec, T: HalfIntegralForm, oracle_policy: str) -> CoefficientRecord:
@@ -211,9 +211,9 @@ def _rank2(spec: EisensteinSpec, T: HalfIntegralForm, oracle_policy: str) -> Coe
     e_hat = split_by_level(content(T), N).r_Nhat
     f_hat = split_by_level(f, N).r_Nhat
     val *= Fraction(f_hat) ** (3 - 2 * k) * eta(f_hat * f_hat) * h_tilde(D, k, eta, e_hat, f_hat)
-    L_D = l_quadratic_exact(k - 1, D) if N == 1 else dirichlet_l(k - 1, product_with_kronecker(eta, D)).value
-    L_eta = dirichlet_l(k, eta).value
-    L_eta2 = dirichlet_l(2 * k - 2, power_character(eta, 2)).value
+    L_D = l_quadratic_exact(k - 1, D) if N == 1 else dirichlet_l(k - 1, product_with_kronecker(eta, D))
+    L_eta = dirichlet_l(k, eta)
+    L_eta2 = dirichlet_l(2 * k - 2, power_character(eta, 2))
     return _record(T, val, [(L_D, 1), (L_eta, -1), (L_eta2, -1)], notes)
 
 

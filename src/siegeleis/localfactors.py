@@ -158,19 +158,12 @@ def unramified_local_factor(inp: GoodPlaceInput):
     return pref * scale * total
 
 
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 @lru_cache(maxsize=None)
 def curve_count_ap(D: int, p: int) -> int:
     """a_p = p - #{(x,y) in F_p^2 : y^2 = x^3 - D x}, by Legendre sums."""
     if p == 2 or not p % 2:
         raise ValueError("p must be odd")
-    return -sum(_legendre(x * x * x - D * x, p) for x in range(p))
+    return -sum(kronecker_symbol(x * x * x - D * x, p) for x in range(p))
 
 
 def curve_count_ap_naive(D: int, p: int) -> int:
@@ -193,7 +186,7 @@ def curve_count_ap_tilde(r: int, f: int, D: int, p: int, chi: LocalCharacterData
     if vf == vr:
         rf = Fraction(r, f)
         b = rf.numerator * pow(rf.denominator, -1, p) % p
-        return Fraction(-sum(_legendre(x * ((x - b) ** 2 - D), p) for x in range(p)))
+        return Fraction(-sum(kronecker_symbol(x * ((x - b) ** 2 - D), p) for x in range(p)))
     if vf > vr:
         return chi.value(Fraction(r, f)).as_scalar()
     raise ValueError("a~_p needs v(f) >= v(r)")
@@ -299,16 +292,21 @@ def K_closed_form(inp: RamifiedPlaceInput) -> LocalFactorResult:
 
 
 def local_gauss_sum(chi: LocalCharacterData) -> Cyclotomic:
-    """G(eta_p) = sum over units u mod p^(n_p) of eta_p(u) e(u / p^(n_p))."""
+    """G(eta_p) = sum over units u mod p^(n_p) of eta_p(u) e(u / p^(n_p)).
+
+    Exact in Q(zeta_n), n = lcm(p^(n_p), ord eta_p): one integer histogram
+    of the phase indices, as in `characters.gauss_sum`.
+    """
     if chi.n_p < 1:
         raise ValueError("unramified character has no local Gauss sum here")
     q = chi.p**chi.n_p
-    total = Cyclotomic.from_rational(0, q)
+    n = math.lcm(q, *(val.order for val in chi.unit_values.values()))
+    counts = [0] * n
     for u, val in chi.unit_values.items():
-        # unit_values stores chi_p(u) = eta_p(u)^(-1)
-        term = val.inverse() * RootU(Fraction(u, q))
-        total = total + term.as_scalar()
-    return total
+        # unit_values stores chi_p(u) = eta_p(u)^(-1) = e(t)
+        t = val.t
+        counts[(u * (n // q) - t.numerator * (n // t.denominator)) % n] += 1
+    return Cyclotomic(n, counts)
 
 
 @lru_cache(maxsize=None)
@@ -324,8 +322,6 @@ def epsilon_exact_parts(chi: LocalCharacterData):
     q = chi.p**chi.n_p
     eta_minus1 = chi.unit_value(q - 1).inverse()  # eta_p(-1)
     part = _zeta_pow(chi.chi_at_p, chi.n_p) * (eta_minus1.as_scalar() * local_gauss_sum(chi))
-    if not isinstance(part, Cyclotomic):
-        part = Cyclotomic.from_rational(part)
     return part, chi.n_p
 
 

@@ -23,18 +23,16 @@ computed once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 
-from .arith import divisors, factorize, moebius
+from .arith import divisors, moebius
 from .characters import kronecker_character
 from .scalars import Exact, get_precision, mp_workdps, to_mpc
 
 __all__ = [
-    "LValue",
     "bernoulli",
     "bernoulli_polynomial",
     "generalized_bernoulli",
@@ -120,29 +118,16 @@ def generalized_bernoulli(n: int, chi) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class LValue:
-    """A special L-value: exact rational-times-pi-power, or numeric."""
-
-    value: object  # Exact | mpmath.mpf | mpmath.mpc
-    mode: str  # "exact" | "numeric"
-    k: int
-    character: str
-
-    def to_mpc(self) -> mpmath.mpc:
-        return to_mpc(self.value)
-
-
-def zeta(k: int) -> LValue:
-    """zeta(k) for integer k >= 2; exact for even k, numeric for odd k."""
+def zeta(k: int):
+    """zeta(k) for integer k >= 2: an `Exact` for even k, an mpf for odd k."""
     if k <= 1:
         raise ValueError("zeta is evaluated only at integers >= 2 here")
     if k % 2 == 0:
         sign = -1 if (k // 2 + 1) % 2 else 1
         q = sign * bernoulli(k) * Fraction(2) ** k / (2 * math.factorial(k))
-        return LValue(Exact(q, k), "exact", k, "1:1")
+        return Exact(q, k)
     with mp_workdps():
-        return LValue(mpmath.zeta(k), "numeric", k, "1:1")
+        return mpmath.zeta(k)
 
 
 def zeta_series_tail_bound(k: int, terms: int) -> tuple[mpmath.mpf, Fraction]:
@@ -159,16 +144,17 @@ def zeta_series_tail_bound(k: int, terms: int) -> tuple[mpmath.mpf, Fraction]:
     return partial, bound
 
 
-_L_VALUES: dict[tuple, LValue] = {}
+_L_VALUES: dict[tuple, object] = {}
 
 
-def dirichlet_l(k: int, psi) -> LValue:
+def dirichlet_l(k: int, psi):
     """L(k, psi) for k >= 2 and a possibly imprimitive character psi.
 
     Computed as L(k, core) times prod (1 - core(p) p^(-k)) over primes p of
     the modulus missing from the conductor.  The primitive value goes
     through Hurwitz zeta unless the core is trivial (then it is zeta).
-    Each value is computed once per (k, psi, working precision).
+    Each value is computed once per (k, psi, working precision).  It is an
+    `Exact` for a trivial core and even k, an mpmath number otherwise.
     """
     if k <= 1:
         raise ValueError("L-values are evaluated only at integers >= 2 here")
@@ -178,21 +164,20 @@ def dirichlet_l(k: int, psi) -> LValue:
     return _L_VALUES[key]
 
 
-def _dirichlet_l(k: int, psi) -> LValue:
+def _dirichlet_l(k: int, psi):
     core = psi.primitive_core()
     lost = psi.lost_euler_primes()
     if core.modulus == 1:
-        base = zeta(k)
-        if base.mode == "exact":
+        val = zeta(k)
+        if isinstance(val, Exact):
             euler = Fraction(1)
             for p in lost:
                 euler *= 1 - Fraction(1, p**k)
-            return LValue(base.value * euler, "exact", k, psi.label)
+            return val * euler
         with mp_workdps():
-            val = base.value
             for p in lost:
                 val *= 1 - mpmath.mpf(1) / mpmath.mpf(p) ** k
-            return LValue(val, "numeric", k, psi.label)
+            return val
     c = core.modulus
     with mp_workdps():
         total = mpmath.mpc(0)
@@ -204,7 +189,7 @@ def _dirichlet_l(k: int, psi) -> LValue:
         val = total / mpmath.mpf(c) ** k
         for p in lost:
             val *= 1 - to_mpc(core(p)) / mpmath.mpf(p) ** k
-    return LValue(val, "numeric", k, psi.label)
+    return val
 
 
 @lru_cache(maxsize=None)
@@ -225,9 +210,7 @@ def l_quadratic_exact(n: int, D: int) -> Exact:
     if (-1) ** n != (1 if delta == 0 else -1):
         raise ValueError(f"parity mismatch: L({n}, chi_{D}) has no exact elementary form here")
     if D == 1:
-        lv = zeta(n)
-        assert lv.mode == "exact"
-        return lv.value
+        return zeta(n)
     chi = kronecker_character(D)
     bn = generalized_bernoulli(n, chi)
     sign = -1 if ((n - delta) // 2) % 2 == 0 else 1

@@ -52,13 +52,12 @@ from fractions import Fraction
 
 import mpmath
 
-from .arith import HalfIntegralForm, valuation
+from .arith import HalfIntegralForm, kronecker_symbol, valuation
 from .characters import LocalCharacterData
 from .cyclotomic import RootU
-from .scalars import mp_workdps
+from .scalars import mp_workdps, to_mpc
 
 __all__ = [
-    "PAdicLatticePoint",
     "TruncationWindow",
     "UncertifiedOracleError",
     "spherical_section_value",
@@ -117,19 +116,6 @@ def frac_part(x: Fraction, p: int) -> Fraction:
 def psi_phase(x: Fraction, p: int) -> RootU:
     """psi_p(x) = e^(-2 pi i {x}_p) as an exact root of unity."""
     return RootU(-frac_part(x, p))
-
-
-@dataclass(frozen=True)
-class PAdicLatticePoint:
-    """A representative of Q_p/Z_p: value u / p^t with 0 <= u < p^t."""
-
-    u: int
-    t: int
-    p: int
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.u, self.p**self.t)
 
 
 @dataclass(frozen=True)
@@ -482,18 +468,11 @@ def _parabolic_factor(q: Mat, chi: LocalCharacterData, s: int):
 # exact unramified integral (r = 0)
 
 
-def _legendre(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 def _leg_frac(x: Fraction, p: int) -> int:
     """Legendre symbol of the unit part of a nonzero rational."""
     v = valuation(x, p)
     u = x / Fraction(p) ** v
-    return _legendre(u.numerator * pow(u.denominator, -1, p) % p, p)
+    return kronecker_symbol(u.numerator * pow(u.denominator, -1, p), p)
 
 
 def vol_sq_shell_ge(p: int, c: Fraction, t0: int) -> Fraction:
@@ -539,7 +518,7 @@ def _gauss_product(p: int, n: int, m: int, i: int, l: int) -> Fraction:
     vm = valuation(m, p) if m else None
     if vn is None or vm is None or i != vn + 1 or l != vm + 1:
         return Fraction(0)
-    legs = _legendre(-1, p) * _leg_frac(Fraction(n), p) * _leg_frac(Fraction(m), p)
+    legs = kronecker_symbol(-1, p) * _leg_frac(Fraction(n), p) * _leg_frac(Fraction(m), p)
     return Fraction(legs * p ** (vn + vm + 1))
 
 
@@ -685,7 +664,7 @@ def brute_force_local_integral(
     n, r, m = T.n, T.r, T.m
     q = p**A
     zeta = chi.chi_at_p if chi is not None else Fraction(1)
-    reps = [PAdicLatticePoint(u, A, p).value for u in range(q)]
+    reps = [Fraction(u, q) for u in range(q)]
     cells: dict[tuple, int] = {}
     for u_lam, lam0 in enumerate(reps):
         for u_mu, mu0 in enumerate(reps):
@@ -704,14 +683,8 @@ def brute_force_local_integral(
     with mp_workdps(32):
         total = mpmath.mpc(0)
         for (val, e), count in cells.items():
-            total += count * _to_c(val) * _to_c(RootU(Fraction(sign * e, q)))
+            total += count * to_mpc(val) * to_mpc(RootU(Fraction(sign * e, q)))
         return total, TruncationWindow(A, window.B, tail)
-
-
-def _to_c(x):
-    from .scalars import to_mpc
-
-    return to_mpc(x)
 
 
 def _f_lower_spherical(mu0, kap0, lam0, p, zeta, s):
@@ -869,8 +842,8 @@ def ramified_integral_exact(T: HalfIntegralForm, chi: LocalCharacterData, s: int
             if u % p == 0:
                 continue
             ph = psi_phase(Fraction(r * u, qn), p).inverse()
-            acc += _to_c(inv_unit[u] * ph)
-        I1 = mpmath.mpf(p) ** (2 * n_p - 2 * n_p * s) * _to_c(chi.chi_at_p**n_p) * acc
+            acc += to_mpc(inv_unit[u] * ph)
+        I1 = mpmath.mpf(p) ** (2 * n_p - 2 * n_p * s) * to_mpc(chi.chi_at_p**n_p) * acc
         # I_2: shells v(lambda) = -i; classes ell mod p^i, u mod p^(n_p + i),
         # both units; phase n lam + r mu + m mu^2 / lam with lam = ell p^-i,
         # mu = u p^-(n_p + i).  Slot-histogram the p-power phases exactly.
@@ -895,12 +868,12 @@ def ramified_integral_exact(T: HalfIntegralForm, chi: LocalCharacterData, s: int
             shell = mpmath.mpc(0)
             for (num, ucls), cnt in slots.items():
                 ph = psi_phase(Fraction(num, qmu), p).inverse()
-                shell += cnt * _to_c(inv_unit[ucls] * ph)
+                shell += cnt * to_mpc(inv_unit[ucls] * ph)
             # chi(mu)^(-1) = chi_p(p)^(n_p + i) chi_u(u)^(-1)
             chi_pow = chi.chi_at_p ** (n_p + i)
             I2 += (
                 mpmath.mpf(p) ** (2 * n_p - s * (i + 2 * n_p))
-                * _to_c(chi_pow)
+                * to_mpc(chi_pow)
                 * shell
             )
         t_ratio = Fraction(p) ** (2 - s)

@@ -15,7 +15,6 @@ import mpmath
 
 from .arith import (
     HalfIntegralForm,
-    factorize,
     fundamental_discriminant,
     kronecker_symbol,
     valuation,
@@ -23,7 +22,6 @@ from .arith import (
 from .characters import (
     DirichletCharacter,
     LocalCharacterData,
-    local_component,
     gauss_sum,
     gauss_sum_numeric,
     primitive_characters_mod,
@@ -36,17 +34,16 @@ from .localfactors import (
     RamifiedPlaceInput,
     curve_count_ap,
     curve_count_ap_naive,
+    unramified_local_factor,
 )
-from .lvalues import bernoulli
 from .oracle import (
     bootstrap_minor_valuation,
     generating_series_check,
     k_oracle,
     unramified_integral_exact,
     volume_R,
-    volume_R_exact,
 )
-from .scalars import mp_workdps, to_mpc
+from .scalars import mp_workdps
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -167,8 +164,6 @@ def suite_unramified(seed: int = 0):
 
 
 def unramified_local_factor_from(p, zeta, L, e, f, s):
-    from .localfactors import unramified_local_factor
-
     return unramified_local_factor(GoodPlaceInput(p, Fraction(zeta), L, e, f, s))
 
 

@@ -124,7 +124,7 @@ def test_gauss_sum_integer_phases_match_fraction_reference():
         for N in range(1, 31):
             for eta in primitive_characters_mod(N):
                 got, want = gauss_sum(eta), _gauss_sum_reference(eta)
-                assert got == want and (got.n, got.c) == (want.n, want.c)
+                assert got == want and (got.n, got.num, got.den) == (want.n, want.num, want.den)
                 assert abs(gauss_sum_numeric(eta) - to_mpc(got)) < tol
 
 

@@ -320,8 +320,8 @@ def _global_gauss_sum_rank2(spec: EisensteinSpec, T: HalfIntegralForm):
         val *= (mpmath.mpf(T.delta) / 4) ** (mpmath.mpf(2 * k - 3) / 2)
         val *= mpmath.mpf(N) ** (2 - 2 * k) * mpmath.mpf(f_hat) ** (3 - 2 * k)
         val *= to_mpc(eta(f_hat * f_hat)) * to_mpc(h_tilde(D, k, eta, e_hat, f_hat))
-        val *= dirichlet_l(k - 1, product_with_kronecker(eta, D)).to_mpc()
-        val /= dirichlet_l(k, eta).to_mpc() * dirichlet_l(2 * k - 2, power_character(eta, 2)).to_mpc()
+        val *= to_mpc(dirichlet_l(k - 1, product_with_kronecker(eta, D)))
+        val /= to_mpc(dirichlet_l(k, eta)) * to_mpc(dirichlet_l(2 * k - 2, power_character(eta, 2)))
         val *= to_mpc(gauss_sum(eta))
         for factor in places:
             val *= to_mpc(factor)

@@ -22,9 +22,11 @@ from siegeleis.localfactors import (
     curve_count_ap_tilde,
     epsilon_factor,
     h_tilde,
+    local_gauss_sum,
     ramified_local_factor,
     unramified_local_factor,
 )
+from siegeleis.cyclotomic import Cyclotomic, RootU
 from siegeleis.scalars import mp_workdps, to_mpc
 
 
@@ -214,3 +216,21 @@ def test_epsilon_global_product():
                 k = 4 if parity(eta) == 0 else 5
                 want = (-1) ** k * to_mpc(gauss_sum(eta)) / mpmath.sqrt(N)
                 assert abs(prod - want) < mpmath.mpf(10) ** -40
+
+
+def _local_gauss_sum_reference(chi) -> Cyclotomic:
+    """The term-by-term sum that the phase histogram of `local_gauss_sum` replaced."""
+    q = chi.p**chi.n_p
+    total = Cyclotomic.from_rational(0, q)
+    for u, val in chi.unit_values.items():
+        total = total + (val.inverse() * RootU(Fraction(u, q))).as_scalar()
+    return total
+
+
+def test_local_gauss_sum_histogram_matches_termwise_sum():
+    for N in range(3, 31):
+        for eta in primitive_characters_mod(N):
+            for p, _ in factorize(N):
+                chi = local_component(eta, p)
+                got, want = local_gauss_sum(chi), _local_gauss_sum_reference(chi)
+                assert (got.n, got.num, got.den) == (want.n, want.num, want.den), (eta.label, p)

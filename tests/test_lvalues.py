@@ -28,9 +28,9 @@ def test_bernoulli():
 
 
 def test_zeta_exact():
-    assert zeta(2).value == Exact(Fraction(1, 6), 2)
-    assert zeta(4).value == Exact(Fraction(1, 90), 4)
-    assert zeta(6).value == Exact(Fraction(1, 945), 6)
+    assert zeta(2) == Exact(Fraction(1, 6), 2)
+    assert zeta(4) == Exact(Fraction(1, 90), 4)
+    assert zeta(6) == Exact(Fraction(1, 945), 6)
     with pytest.raises(ValueError):
         zeta(1)
 
@@ -38,8 +38,8 @@ def test_zeta_exact():
 def test_zeta_numeric_vs_exact():
     with mp_workdps():
         for k in (2, 4, 6, 8, 10, 20):
-            assert abs(to_mpc(zeta(k).value) - mpmath.zeta(k)) < mpmath.mpf(10) ** -50
-        assert abs(zeta(3).value - mpmath.zeta(3)) == 0  # same code path
+            assert abs(to_mpc(zeta(k)) - mpmath.zeta(k)) < mpmath.mpf(10) ** -50
+        assert abs(zeta(3) - mpmath.zeta(3)) == 0  # same code path
 
 
 def test_series_tail_bound():
@@ -55,7 +55,7 @@ def test_series_tail_bound():
 def test_dirichlet_l_catalan():
     with mp_workdps():
         l = dirichlet_l(2, kronecker_character(-4))
-        assert abs(l.value - mpmath.catalan) < mpmath.mpf(10) ** -40
+        assert abs(l - mpmath.catalan) < mpmath.mpf(10) ** -40
 
 
 def test_dirichlet_l_imprimitive_euler_factor():
@@ -65,7 +65,7 @@ def test_dirichlet_l_imprimitive_euler_factor():
         for k in (2, 3, 5):
             lv = dirichlet_l(k, triv2)
             want = (1 - mpmath.mpf(2) ** -k) * mpmath.zeta(k)
-            assert abs(to_mpc(lv.value) - want) < mpmath.mpf(10) ** -40
+            assert abs(to_mpc(lv) - want) < mpmath.mpf(10) ** -40
 
 
 def test_dirichlet_l_induced_characters():
@@ -79,8 +79,8 @@ def test_dirichlet_l_induced_characters():
                     continue
                 core = eta.primitive_core()
                 k = 3
-                whole = dirichlet_l(k, eta).to_mpc()
-                val = dirichlet_l(k, core).to_mpc()
+                whole = to_mpc(dirichlet_l(k, eta))
+                val = to_mpc(dirichlet_l(k, core))
                 for p in eta.lost_euler_primes():
                     val *= 1 - to_mpc(core(p)) / mpmath.mpf(p) ** k
                 assert abs(whole - val) < mpmath.mpf(10) ** -40
@@ -91,7 +91,7 @@ def test_l_quadratic_exact_vs_numeric():
         for D, n in [(-4, 1), (-4, 3), (-3, 3), (5, 2), (-7, 5), (8, 4), (12, 2), (-8, 3), (1, 4)]:
             ex = to_mpc(l_quadratic_exact(n, D))
             if n >= 2:
-                num = dirichlet_l(n, kronecker_character(D)).to_mpc()
+                num = to_mpc(dirichlet_l(n, kronecker_character(D)))
                 assert abs(ex - num) < mpmath.mpf(10) ** -40
         assert abs(to_mpc(l_quadratic_exact(1, -4)) - mpmath.pi / 4) < mpmath.mpf(10) ** -40
 
@@ -138,10 +138,10 @@ def test_dirichlet_l_cache_keyed_by_precision():
     try:
         for k, psi in [(2, kronecker_character(-4)), (4, DirichletCharacter(7, 3))]:
             set_precision(192)
-            low = dirichlet_l(k, psi).value
+            low = dirichlet_l(k, psi)
             set_precision(320)
-            high = dirichlet_l(k, psi).value
-            fresh = lvalues._dirichlet_l(k, psi).value
+            high = dirichlet_l(k, psi)
+            fresh = lvalues._dirichlet_l(k, psi)
             assert high == fresh and high != low
     finally:
         set_precision(saved)
@@ -153,7 +153,7 @@ def test_dirichlet_l_cache_keyed_by_character():
 
     for psi in characters_mod(7) + [DirichletCharacter(14, 3), DirichletCharacter(21, 10)]:
         for k in (2, 3):
-            assert dirichlet_l(k, psi).value == lvalues._dirichlet_l(k, psi).value, (k, psi)
+            assert dirichlet_l(k, psi) == lvalues._dirichlet_l(k, psi), (k, psi)
 
 
 def test_cohen_h():
