@@ -175,7 +175,7 @@ class DirichletCharacter:
     def _build(self, modulus: int, components: list[_Component]) -> None:
         """Set the label, conductor, order and evaluation terms from the components."""
         self.modulus = modulus
-        self._components = components
+        self._components = tuple(components)
         index = 0
         for comp in components:
             q = comp.p**comp.a
@@ -185,12 +185,13 @@ class DirichletCharacter:
         self._conductor = math.prod(comp.p ** comp.conductor_exponent() for comp in components)
         self._order = math.lcm(1, *(comp.order() for comp in components))
         # exponent(x) = sum of w * log(x mod m) over the terms, as a multiple of 1/order
-        self._terms = []
+        terms = []
         for comp in components:
             for e, (m, table, n) in zip(comp.exps, _generators(comp.p, comp.a)):
                 w = e * self._order // n
                 if w:
-                    self._terms.append((m, table, w))
+                    terms.append((m, table, w))
+        self._terms = tuple(terms)
 
     @classmethod
     def from_label(cls, label: str) -> "DirichletCharacter":
@@ -449,11 +450,19 @@ def kronecker_character(D: int) -> DirichletCharacter:
     return DirichletCharacter._from_components(abs(D), comps)
 
 
+@lru_cache(maxsize=None)
 def product_with_kronecker(eta: DirichletCharacter, D: int) -> DirichletCharacter:
-    """The pointwise product chi_D * eta as a character mod |D| N (D fundamental or 1)."""
+    """The pointwise product chi_D * eta as a character mod |D| N (D fundamental or 1).
+
+    Memoised per (eta, D); the returned character is shared and never mutated.
+    """
     return (kronecker_character(D) * eta).at_modulus(abs(D) * eta.modulus)
 
 
+@lru_cache(maxsize=None)
 def power_character(eta: DirichletCharacter, k: int) -> DirichletCharacter:
-    """eta^k as a character mod N (possibly imprimitive)."""
+    """eta^k as a character mod N (possibly imprimitive).
+
+    Memoised per (eta, k); the returned character is shared and never mutated.
+    """
     return eta**k

@@ -20,25 +20,37 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
-from . import __version__
+from . import __version__, lvalues
 from .arith import HalfIntegralForm
-from .characters import DirichletCharacter
+from .characters import DirichletCharacter, power_character, product_with_kronecker
 from .fourier import (
     CoefficientRecord,
     EisensteinSpec,
     UnsupportedPlaceError,
+    _spec_invariants,
     coefficient,
     expand,
     format_value,
 )
+from .localfactors import h_tilde
 from .scalars import get_precision, precision_from_env, set_precision
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_UNSUPPORTED_PLACE = 3
 EXIT_UNCERTIFIED = 4
+
+# the memos of the expand path that `expand --stats` reports
+_MEMOS = {
+    "localfactors.h_tilde": h_tilde,
+    "characters.product_with_kronecker": product_with_kronecker,
+    "characters.power_character": power_character,
+    "lvalues.l_quadratic_exact": lvalues.l_quadratic_exact,
+    "fourier._spec_invariants": _spec_invariants,
+}
 
 
 def _spec_from(args) -> EisensteinSpec:
@@ -93,8 +105,27 @@ def cmd_coeff(args) -> int:
     return EXIT_OK
 
 
+def _memo_hits_misses() -> dict:
+    return {name: fn.cache_info()[:2] for name, fn in _MEMOS.items()}
+
+
+def _stats(recs: list[CoefficientRecord], before: dict) -> dict:
+    """Records per mode and per place note, and the memo hits and misses since `before`."""
+    memos = {}
+    for name, (hits, misses) in _memo_hits_misses().items():
+        memos[name] = {"hits": hits - before[name][0], "misses": misses - before[name][1]}
+    memos["lvalues.dirichlet_l"] = {"size": len(lvalues._L_VALUES)}
+    return {
+        "records": len(recs),
+        "modes": Counter(rec.mode for rec in recs),
+        "notes": Counter(note for rec in recs for note in rec.notes),
+        "memos": memos,
+    }
+
+
 def cmd_expand(args) -> int:
     spec = _spec_from(args)
+    before = _memo_hits_misses()
     recs = expand(
         spec,
         args.bound,
@@ -102,6 +133,8 @@ def cmd_expand(args) -> int:
         oracle_policy=args.oracle,
     )
     _emit([_record_fields(r) for r in recs], args.format, header=_header(spec))
+    if args.stats:
+        print(json.dumps({"stats": _stats(recs, before)}, sort_keys=True), file=sys.stderr)
     return EXIT_OK
 
 
@@ -214,6 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--bound", type=int, required=True)
     sp.add_argument("--include-zero", action="store_true")
+    sp.add_argument(
+        "--stats",
+        action="store_true",
+        help="one JSON line on stderr: records per mode and place note, memo hits and misses",
+    )
     sp.set_defaults(fn=cmd_expand)
 
     sp = sub.add_parser("local", help="local factors, closed form vs oracle")

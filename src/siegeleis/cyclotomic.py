@@ -29,6 +29,8 @@ from functools import lru_cache
 
 import mpmath
 
+from .arith import moebius
+
 __all__ = ["RootU", "Cyclotomic", "cyclotomic_polynomial"]
 
 
@@ -48,6 +50,24 @@ def _phi_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """deg Phi_n and the pairs (j, c_j) with c_j != 0 for j < deg."""
     phi = cyclotomic_polynomial(n)
     return len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+
+
+@lru_cache(maxsize=None)
+def _root_trace(d: int) -> Fraction:
+    """mu(d) / phi(d): the trace to Q of a primitive d-th root of unity,
+    divided by the degree of the field it is taken in.
+
+    This normalised trace is the same in every Q(zeta_n) with d | n, so it
+    serves as a hash that agrees on equal values across fields.
+    """
+    return Fraction(moebius(d), _phi_terms(d)[0])
+
+
+@lru_cache(maxsize=None)
+def _trace_weights(n: int) -> tuple[int, ...]:
+    """Tr(zeta_n^i) = phi(n) mu(d) / phi(d), d = n / gcd(i, n), for i < deg Phi_n."""
+    deg = _phi_terms(n)[0]
+    return tuple(int(deg * _root_trace(n // math.gcd(i, n))) for i in range(deg))
 
 
 def _poly_divide_monic(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -105,7 +125,8 @@ class RootU:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("RootU", self.t))
+        # the normalised trace, as for Cyclotomic; 1 and -1 hash as the ints do
+        return hash(_root_trace(self.order))
 
     def is_real(self) -> bool:
         return self.order <= 2
@@ -259,7 +280,10 @@ class Cyclotomic:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("Cyclotomic", self.n, self.num, self.den))
+        # the normalised trace Tr(x) / phi(n) to Q: equal in every field that
+        # holds x, and equal to x itself when x is rational
+        weighted = sum(x * w for x, w in zip(self.num, _trace_weights(self.n)))
+        return hash(Fraction(weighted, self.den * _phi_terms(self.n)[0]))
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])

@@ -76,11 +76,14 @@ def _zeta_pow(chi_val, k: int):
     return q**abs(k)
 
 
+@lru_cache(maxsize=None)
 def h_tilde(D: int, s: int, eta, e: int, f: int):
     """H~_(D,s,eta)(e, f): the triple divisor sum attached to -Delta = D f^2.
 
     sum_{d | e} eta^-1(d) d^(s-1) sum_{g | f/d} mu(g) chi_D(g) eta^-1(g)
     g^(s-2) sum_{h | f/(dg)} eta^-2(h) h^(2s-3), requiring e | f.
+    Memoised per argument tuple: the value (a Fraction or a Cyclotomic) is
+    immutable and shared by every caller.
     """
     if e < 1 or f % e:
         raise ValueError("need e >= 1 and e | f")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -81,6 +82,27 @@ def test_expand_closed_form_zero_is_zero_record(capsys):
     for T in vanishing:
         assert every[T]["mode"] == "zero" and every[T]["value"] == "0.0,0.0"
         assert every[T]["notes"] == "p=3:K-closed-form"
+
+
+def test_expand_stats_leave_stdout_unchanged(capsys):
+    args = ("expand", "-k", "5", "-c", "3:2", "--bound", "12", "--include-zero")
+    code, plain, plain_err = run(capsys, *args)
+    assert code == 0 and plain_err == ""
+    code, out, err = run(capsys, *args, "--stats")
+    assert code == 0 and out == plain
+    (line,) = err.splitlines()
+    stats = json.loads(line)["stats"]
+    records = [json.loads(ln) for ln in out.strip().splitlines()[1:]]
+    assert stats["records"] == len(records)
+    assert stats["modes"] == Counter(r["mode"] for r in records) and stats["modes"]["numeric"] == 46
+    assert stats["notes"] == Counter(note for r in records for note in r["notes"].split(";") if note)
+    assert stats["notes"]["p=3:K-closed-form"] == 15
+    memos = stats["memos"]
+    # the second run finds every H~ and character of the first in the memos
+    for name in ("localfactors.h_tilde", "characters.product_with_kronecker", "characters.power_character"):
+        assert memos[name]["misses"] == 0 and memos[name]["hits"] > 0
+    assert memos["lvalues.l_quadratic_exact"] == {"hits": 0, "misses": 0}
+    assert memos["fourier._spec_invariants"]["hits"] > 0 and memos["lvalues.dirichlet_l"]["size"] > 0
 
 
 def test_expand_csv(capsys):

@@ -280,6 +280,33 @@ def test_mixed_fields_match_fraction_reference():
     assert z == Cyclotomic.zeta_power(12, 4) and z + 1 == -Cyclotomic.zeta_power(6, 4)
 
 
+def test_equal_values_hash_equal_across_fields_and_rationals():
+    z3 = Cyclotomic.zeta_power(3, 1)
+    pairs = [
+        (z3, Cyclotomic.zeta_power(6, 2)),
+        (z3 + 1, -Cyclotomic.zeta_power(6, 4)),
+        (Cyclotomic.from_rational(2), 2),
+        (Cyclotomic.from_rational(Fraction(-3, 4), 12), Fraction(-3, 4)),
+        (Cyclotomic.zeta_power(5, 0), 1),
+        (RootU(0), 1),
+        (RootU(Fraction(1, 2)), -1),
+        (RootU(Fraction(1, 2)), Fraction(-1)),
+        (RootU(Fraction(1, 2)), Cyclotomic.zeta_power(4, 2)),
+        (RootU(Fraction(1, 3)), z3),
+        (RootU(Fraction(1, 4)), Cyclotomic.zeta_power(8, 2)),
+    ]
+    # seeded elements of Q(zeta_n) and their images in Q(zeta_m), n | m
+    rng = random.Random(11)
+    for n, m in ((1, 4), (3, 6), (4, 12), (5, 10), (6, 12), (9, 36), (12, 60)):
+        for den in (1, 2, 6):
+            a = Cyclotomic(n, [rng.randint(-5, 5) for _ in range(n)], den)
+            pairs.append((a, a * Cyclotomic.from_rational(1, m)))
+    for a, b in pairs:
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
 def test_inverse_by_norm_matches_fraction_reference():
     rng = random.Random(60)
     for n in (60, 84):

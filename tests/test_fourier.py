@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegeleis import fourier, localfactors, lvalues
+from siegeleis import characters, fourier, localfactors, lvalues
 from siegeleis.arith import HalfIntegralForm, content, factorize, fundamental_discriminant, split_by_level
 from siegeleis.characters import (
     DirichletCharacter,
@@ -175,6 +175,9 @@ def _clear_caches():
     lvalues.l_quadratic_exact.cache_clear()
     fourier._spec_invariants.cache_clear()
     localfactors.epsilon_exact_parts.cache_clear()
+    localfactors.h_tilde.cache_clear()
+    characters.product_with_kronecker.cache_clear()
+    characters.power_character.cache_clear()
 
 
 def test_coefficient_cold_and_warm_caches_agree():
@@ -190,6 +193,21 @@ def test_coefficient_cold_and_warm_caches_agree():
         forward = [coefficient(spec, T).value for T in forms]
         backward = [coefficient(spec, T).value for T in reversed(forms)][::-1]
         assert cold == forward == backward
+
+
+def test_rank2_memos_miss_once_per_argument():
+    # level one, bound 14: 1497 rank-2 forms fall into 126 (D, e, f) classes,
+    # and eta^2 is one character for the whole expansion
+    _clear_caches()
+    expand(EisensteinSpec(4, TRIV), 14)
+    h = localfactors.h_tilde.cache_info()
+    assert (h.hits + h.misses, h.misses) == (1497, 126)
+    assert characters.power_character.cache_info().misses == 1
+    # N = 3, bound 12: chi_D eta is built once for each of the 16 distinct D
+    _clear_caches()
+    expand(EisensteinSpec(5, ETA3), 12)
+    assert characters.product_with_kronecker.cache_info().misses == 16
+    assert characters.power_character.cache_info().misses == 1
 
 
 def test_expand_matches_coefficient():
