@@ -10,7 +10,8 @@ names {n, r, m, value, mode, notes}.  Exact rationals are printed as
 pair at the stated precision.
 
 Exit codes: 0 success, 2 domain error, 3 unsupported place (no closed form
-for K and the oracle disabled), 4 uncertified oracle window.
+for K and the oracle disabled), 4 uncertified oracle (`local volume` at a
+residue depth too small to decide).
 """
 
 from __future__ import annotations
@@ -292,7 +293,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except Exception as exc:  # UncertifiedOracleError and kin
+    except Exception as exc:
+        # oracle.volume_R raises this when its residue depth B cannot decide
+        # membership (`local volume`); imported here to keep oracle out of start-up
         from .oracle import UncertifiedOracleError
 
         if isinstance(exc, UncertifiedOracleError):

@@ -16,11 +16,18 @@ rank 2:  archimedean prefactor (4 pi)^(2k-1) det(T)^(k-3/2) / (2 (2k-2)!)
          factors inside the I_p multiply to (-1)^k G(eta) / sqrt(N), so no
          global Gauss sum is inserted.
 
+The factors that depend only on the spec -- the places p | N with their
+chi_p, and the two constants (-2 pi i)^k / ((k-1)! L(k, eta)) and
+(4 pi)^(2k-1) / (2 (2k-2)! L(k, eta) L(2k-2, eta^2)) -- live in one
+context per (spec, working precision), built by `_spec_invariants`.  So
+each T multiplies only its own factors, L(k-1, chi_D eta) and one constant.
+
 Everything but the L-values is exact: pi-powers, sqrt(|D|) and the
 cyclotomic numbers of the local factors are carried in `Exact`.  Exact
 L-values multiply in exactly, so for N = 1 every value is an exact
-rational.  For N > 1, L(k, eta) at least is numeric; the numeric L-values
-are multiplied in last, and the values are high-precision complex.
+rational (pi^(1-k) of the rank-2 constant cancels against
+L(k-1, chi_D)).  For N > 1, L(k, eta) at least is numeric; the numeric
+L-values are multiplied in last, and the values are high-precision complex.
 
 `eichler_zagier_coefficient` is an independent level-one comparator built
 from Cohen's H function via generalized Bernoulli numbers: a fully rational
@@ -32,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import mpmath
 
@@ -55,7 +62,7 @@ from .characters import (
 from .cyclotomic import RootU
 from .localfactors import K_closed_form, RamifiedPlaceInput, h_tilde, ramified_local_factor
 from .lvalues import bernoulli, cohen_h, dirichlet_l, l_quadratic_exact
-from .scalars import Exact, mp_workdps, to_mpc
+from .scalars import Exact, get_precision, mp_workdps, to_mpc
 
 __all__ = [
     "EisensteinSpec",
@@ -115,10 +122,66 @@ class CoefficientRecord:
         return self.mode == "zero"
 
 
+class _SpecContext:
+    """What a(T) needs of the spec alone: the places p | N and two constants.
+
+    `places` holds the pairs (p, chi_p) for p | N in ascending p.  `rank1`
+    and `rank2` are the constants
+
+        (-2 pi i)^k / ((k-1)! L(k, eta))
+        4^(2k-1) pi^(2k-1) / (2 (2k-2)! L(k, eta) L(2k-2, eta^2)),
+
+    each as the pair (exact part, product of its numeric L-values or None):
+    the constant is the exact part divided by that product.  At N = 1 every
+    L-value is exact, so the product is None.  The L-values are read on the
+    first use of a constant, so a zero found at a ramified place reads none.
+    """
+
+    def __init__(self, spec: EisensteinSpec):
+        self.spec = spec
+        self.places = tuple((p, local_component(spec.eta, p)) for p, _ in factorize(spec.N))
+
+    @cached_property
+    def _l_k(self):
+        return dirichlet_l(self.spec.k, self.spec.eta)
+
+    @cached_property
+    def rank1(self) -> tuple[Exact, object]:
+        k = self.spec.k
+        val = Exact(Fraction((-2) ** k, math.factorial(k - 1)), k) * RootU(Fraction(k, 4))
+        return _constant(val, [self._l_k])
+
+    @cached_property
+    def rank2(self) -> tuple[Exact, object]:
+        k = self.spec.k
+        val = Exact(Fraction(4 ** (2 * k - 1), 2 * math.factorial(2 * k - 2)), 2 * k - 1)
+        return _constant(val, [self._l_k, dirichlet_l(2 * k - 2, power_character(self.spec.eta, 2))])
+
+
+def _constant(val: Exact, lvalues) -> tuple[Exact, object]:
+    """val over the product of lvalues, as the pair of `_SpecContext`.
+
+    That is val over the exact L-values, and the product of the numeric
+    ones (None when there is none).
+    """
+    numeric = None
+    for L in lvalues:
+        if isinstance(L, Exact):
+            val = val / L
+        else:
+            with mp_workdps():
+                numeric = L if numeric is None else numeric * L
+    return val, numeric
+
+
 @lru_cache(maxsize=None)
-def _spec_invariants(spec: EisensteinSpec):
-    """The pairs (p, chi_p) for p | N in ascending p, once per spec."""
-    return tuple((p, local_component(spec.eta, p)) for p, _ in factorize(spec.N))
+def _spec_invariants(spec: EisensteinSpec, bits: int) -> _SpecContext:
+    """The `_SpecContext` of spec, once per (spec, working precision in bits).
+
+    The precision is part of the key because the numeric L-values in the
+    constants are computed at it.
+    """
+    return _SpecContext(spec)
 
 
 def coefficient(spec: EisensteinSpec, T: HalfIntegralForm, oracle_policy: str = "forbid") -> CoefficientRecord:
@@ -139,37 +202,39 @@ def coefficient(spec: EisensteinSpec, T: HalfIntegralForm, oracle_policy: str = 
         if N == 1:
             return CoefficientRecord(T, Fraction(1), "exact-rational")
         return zero
+    context = _spec_invariants(spec, get_precision())
     if T.rank == 1:
-        return _rank1(spec, T)
-    return _rank2(spec, T, oracle_policy)
+        return _rank1(spec, context, T)
+    return _rank2(spec, context, T, oracle_policy)
 
 
-def _record(T: HalfIntegralForm, val: Exact, lvalues, notes: list) -> CoefficientRecord:
-    """The record of val times L^e over the pairs (L, e), e = +-1, in lvalues.
+def _record(T: HalfIntegralForm, val: Exact, constant: tuple[Exact, object], notes: list, L_D=None) -> CoefficientRecord:
+    """The record of val times a spec constant of `_SpecContext`, times L_D if given.
 
-    Exact L-values are multiplied into val.  The numeric ones are multiplied
-    in last, at working precision, after one conversion of the exact part.
-    The record is exact-rational when the product is a rational Exact.
+    The exact part of the constant and an exact L_D multiply into val.  The
+    rest is numeric: after one conversion of val, a numeric L_D multiplies
+    in and the constant's product of numeric L-values divides out, at
+    working precision.  The record is exact-rational when nothing numeric
+    is left and val is rational.
     """
-    numeric = []
-    for L, e in lvalues:
-        if isinstance(L, Exact):
-            val = val * L if e > 0 else val / L
-        else:
-            numeric.append((L, e))
-    if not numeric and val.is_rational():
+    exact, numeric = constant
+    val = val * exact
+    if isinstance(L_D, Exact):
+        val, L_D = val * L_D, None
+    if numeric is None and L_D is None and val.is_rational():
         return CoefficientRecord(T, val.as_fraction(), "exact-rational", notes)
     with mp_workdps():
         z = to_mpc(val)
-        for L, e in numeric:
-            z = z * L if e > 0 else z / L
+        if L_D is not None:
+            z = z * L_D
+        if numeric is not None:
+            z = z / numeric
         return CoefficientRecord(T, z, "numeric", notes)
 
 
-def _rank1(spec: EisensteinSpec, T: HalfIntegralForm) -> CoefficientRecord:
+def _rank1(spec: EisensteinSpec, context: _SpecContext, T: HalfIntegralForm) -> CoefficientRecord:
     k, eta, N = spec.k, spec.eta, spec.N
-    # (-2 pi i)^k / (k-1)!
-    val = Exact(Fraction((-2) ** k, math.factorial(k - 1)), k) * RootU(Fraction(k, 4))
+    val = Exact.of(1)
     if N > 1:
         # nonzero only for m > 0 with r_N = (2m)_N / N
         if T.m <= 0 or T.r == 0 or split_by_level(T.r, N).r_N * N != split_by_level(2 * T.m, N).r_N:
@@ -177,19 +242,18 @@ def _rank1(spec: EisensteinSpec, T: HalfIntegralForm) -> CoefficientRecord:
         val *= eta(split_by_level(T.r, N).r_Nhat) * eta(split_by_level(2, N).r_Nhat).inverse()
     e_split = split_by_level(content(T), N)
     val *= divisor_sum(e_split.r_Nhat, k - 1, eta) * Fraction(e_split.r_N) ** (k - 1)
-    return _record(T, val, [(dirichlet_l(k, eta), -1)], [])
+    return _record(T, val, context.rank1, [])
 
 
-def _rank2(spec: EisensteinSpec, T: HalfIntegralForm, oracle_policy: str) -> CoefficientRecord:
+def _rank2(spec: EisensteinSpec, context: _SpecContext, T: HalfIntegralForm, oracle_policy: str) -> CoefficientRecord:
     k, eta, N = spec.k, spec.eta, spec.N
     split = fundamental_discriminant(T.r * T.r - 4 * T.n * T.m)
     D, f = split.D, split.f
     # det(T)^(k-3/2) = (Delta/4)^(k-2) * (f/2) sqrt(-D)
-    val = Exact(Fraction(4 ** (2 * k - 1), 2 * math.factorial(2 * k - 2)), 2 * k - 1)
-    val *= Fraction(T.delta, 4) ** (k - 2) * Fraction(f, 2) * Exact.sqrt(-D)
+    val = Fraction(T.delta, 4) ** (k - 2) * Fraction(f, 2) * Exact.sqrt(-D)
     # the ramified places first, so an exactly vanishing K skips the L-values
     notes = []
-    for p, chi_p in _spec_invariants(spec):
+    for p, chi_p in context.places:
         place = RamifiedPlaceInput(p, chi_p, T, k)
         if T.r % p:
             K_val, note = None, f"p={p}:unit"
@@ -212,9 +276,7 @@ def _rank2(spec: EisensteinSpec, T: HalfIntegralForm, oracle_policy: str) -> Coe
     f_hat = split_by_level(f, N).r_Nhat
     val *= Fraction(f_hat) ** (3 - 2 * k) * eta(f_hat * f_hat) * h_tilde(D, k, eta, e_hat, f_hat)
     L_D = l_quadratic_exact(k - 1, D) if N == 1 else dirichlet_l(k - 1, product_with_kronecker(eta, D))
-    L_eta = dirichlet_l(k, eta)
-    L_eta2 = dirichlet_l(2 * k - 2, power_character(eta, 2))
-    return _record(T, val, [(L_D, 1), (L_eta, -1), (L_eta2, -1)], notes)
+    return _record(T, val, context.rank2, notes, L_D)
 
 
 def expand(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from siegeleis import scalars
-from siegeleis.cli import EXIT_DOMAIN, EXIT_UNSUPPORTED_PLACE, main
+from siegeleis.cli import EXIT_DOMAIN, EXIT_UNCERTIFIED, EXIT_UNSUPPORTED_PLACE, main
 
 
 def run(capsys, *argv):
@@ -98,10 +98,12 @@ def test_expand_stats_leave_stdout_unchanged(capsys):
     assert stats["notes"] == Counter(note for r in records for note in r["notes"].split(";") if note)
     assert stats["notes"]["p=3:K-closed-form"] == 15
     memos = stats["memos"]
-    # the second run finds every H~ and character of the first in the memos
-    for name in ("localfactors.h_tilde", "characters.product_with_kronecker", "characters.power_character"):
+    # the second run finds every H~ and chi_D eta of the first in the memos;
+    # eta^2 is built only with the spec context, which the second run reuses
+    for name in ("localfactors.h_tilde", "characters.product_with_kronecker"):
         assert memos[name]["misses"] == 0 and memos[name]["hits"] > 0
-    assert memos["lvalues.l_quadratic_exact"] == {"hits": 0, "misses": 0}
+    for name in ("characters.power_character", "lvalues.l_quadratic_exact"):
+        assert memos[name] == {"hits": 0, "misses": 0}
     assert memos["fourier._spec_invariants"]["hits"] > 0 and memos["lvalues.dirichlet_l"]["size"] > 0
 
 
@@ -115,6 +117,12 @@ def test_expand_csv(capsys):
 def test_local_volume(capsys):
     code, out, _ = run(capsys, "local", "volume", "-p", "3", "-i", "0", "-j", "0", "-T", "1,0,1")
     assert code == 0 and json.loads(out)["value"] == "2/3"
+
+
+def test_local_volume_undecided_exit(capsys):
+    # residues mod 3^4 cannot decide v >= 5 for T = (729, 0, 729)
+    code, out, err = run(capsys, "local", "volume", "-p", "3", "-i", "5", "-j", "0", "-T", "729,0,729", "-B", "4")
+    assert code == EXIT_UNCERTIFIED and out == "" and "cannot decide" in err
 
 
 def test_local_unramified(capsys):

@@ -28,7 +28,7 @@ from siegeleis.fourier import (
 from siegeleis.localfactors import K_closed_form, RamifiedPlaceInput, h_tilde
 from siegeleis.lvalues import dirichlet_l
 from siegeleis.oracle import k_oracle
-from siegeleis.scalars import mp_workdps, to_mpc
+from siegeleis.scalars import mp_workdps, set_precision, to_mpc
 
 TRIV = DirichletCharacter(1, 1)
 ETA3 = DirichletCharacter(3, 2)
@@ -208,6 +208,38 @@ def test_rank2_memos_miss_once_per_argument():
     expand(EisensteinSpec(5, ETA3), 12)
     assert characters.product_with_kronecker.cache_info().misses == 16
     assert characters.power_character.cache_info().misses == 1
+
+
+def test_spec_constants_read_their_l_values_once(monkeypatch):
+    # L(k, eta) and L(2k-2, eta^2) are read once for the whole expansion, not
+    # once per T (3052 calls at 1:1, bound 14); L(k-1, chi_D) is exact at N = 1
+    calls = []
+
+    def counting(k, psi):
+        calls.append((k, psi))
+        return dirichlet_l(k, psi)
+
+    _clear_caches()
+    monkeypatch.setattr(fourier, "dirichlet_l", counting)
+    expand(EisensteinSpec(4, TRIV), 14)
+    assert calls == [(4, TRIV), (6, power_character(TRIV, 2))]
+
+
+def test_spec_constants_keyed_by_precision():
+    # a(T) at 192 bits after a run at 128 bits equals the cold 192-bit value
+    cases = [
+        (EisensteinSpec(5, ETA3), HalfIntegralForm(1, 1, 9)),
+        (EisensteinSpec(5, DirichletCharacter(5, 2)), HalfIntegralForm(1, 1, 25)),
+    ]
+    for spec, T in cases:
+        _clear_caches()
+        set_precision(192)
+        cold = coefficient(spec, T).value
+        _clear_caches()
+        set_precision(128)
+        low = coefficient(spec, T).value
+        set_precision(192)
+        assert coefficient(spec, T).value == cold != low
 
 
 def test_expand_matches_coefficient():
