@@ -9,13 +9,14 @@ component, so conductors, primitive cores and Conrey indices come in closed
 form and no character is ever expanded into a table of its values.  All
 values are exact roots of unity (`RootU`).
 
-The attached idele class character has local components chi_p determined by
+The attached idele class character has local components chi_p read off
+the same CRT components: with eta = eta_p * eta^(p), where eta_p is the
+component at p (a character mod p^(n_p), n_p = v_p(N)) and eta^(p) the
+product of the others,
 
-* conductor exponent a(chi_p) = v_p(N),
-* chi_p(p) = eta(x_p) where x_p = p mod q^(n_q) for q | N, q != p, and
-  x_p = 1 mod p^(n_p),
-* chi_p(u) = eta_p(u)^(-1) for units u when p | N, and chi_p unramified
-  with chi_p(p) = eta(p) when p does not divide N.
+* conductor exponent a(chi_p) = n_p,
+* chi_p(p) = eta^(p)(p) (this is eta(p) when p does not divide N),
+* chi_p(u) = eta_p(u)^(-1) on units u.
 """
 
 from __future__ import annotations
@@ -205,27 +206,29 @@ class DirichletCharacter:
     def label(self) -> str:
         return f"{self.modulus}:{self.index}"
 
-    def exponent(self, n: int) -> Fraction | None:
-        """Exponent t of eta(n) = e(t), or None when gcd(n, N) > 1."""
+    def _phase(self, n: int) -> int | None:
+        """j with eta(n) = e(j / order), 0 <= j < order, or None when gcd(n, N) > 1."""
         if math.gcd(n, self.modulus) != 1:
             return None
         num = 0
         for m, table, w in self._terms:
             num += w * table[n % m]
-        return _fractions(self._order)[num % self._order]
+        return num % self._order
+
+    def exponent(self, n: int) -> Fraction | None:
+        """Exponent t of eta(n) = e(t), or None when gcd(n, N) > 1."""
+        j = self._phase(n)
+        return _fractions(self._order)[j] if j is not None else None
 
     def __call__(self, n: int):
         """eta(n) as a RootU, or the integer 0 on non-units."""
-        t = self.exponent(n)
-        return RootU(t) if t is not None else 0
-
-    def value(self, n: int):
-        return self(n)
+        j = self._phase(n)
+        return RootU(_fractions(self._order)[j]) if j is not None else 0
 
     def inverse_value(self, n: int):
         """eta^(-1)(n): conjugate on units, 0 otherwise."""
-        t = self.exponent(n)
-        return RootU(-t) if t is not None else 0
+        j = self._phase(n)
+        return RootU(_fractions(self._order)[-j % self._order]) if j is not None else 0
 
     def conductor(self) -> int:
         return self._conductor
@@ -311,18 +314,18 @@ def parity(eta) -> int:
 def _gauss_phase_counts(eta) -> tuple[int, dict[int, int]]:
     """n = lcm(N, ord eta) and the histogram of the phase indices of G(eta).
 
-    The term eta(a) e(a/N) is zeta_n^k with k = t n + a n/N, where eta(a) =
-    e(t); k is formed in ints from the numerator and denominator of t.
+    The term eta(a) e(a/N) is zeta_n^k with k = j n/ord + a n/N, where
+    eta(a) = e(j/ord).
     """
-    N = eta.modulus
-    n = math.lcm(N, eta.order())
-    step = n // N
+    N, order = eta.modulus, eta.order()
+    n = math.lcm(N, order)
+    step, scale = n // N, n // order
     counts: dict[int, int] = {}
     for a in range(N):
-        t = eta.exponent(a)
-        if t is None:
+        j = eta._phase(a)
+        if j is None:
             continue
-        k = (t.numerator * (n // t.denominator) + a * step) % n
+        k = (j * scale + a * step) % n
         counts[k] = counts.get(k, 0) + 1
     return n, counts
 
@@ -364,20 +367,19 @@ def gauss_sum_numeric(eta):
 
 @dataclass(frozen=True)
 class LocalCharacterData:
-    """Local component chi_p of the idele class character attached to eta."""
+    """Local component chi_p of the idele class character attached to eta.
+
+    `eta_p` is the CRT component of eta at p, a character mod p^(n_p)
+    (modulus 1 when n_p = 0), and chi_p(u) = eta_p(u)^(-1) on units.
+    """
 
     p: int
     n_p: int
     chi_at_p: RootU
-    unit_values: dict  # u mod p^(n_p), coprime to p -> RootU
-
-    def __hash__(self):
-        return hash((self.p, self.n_p, self.chi_at_p, tuple(self.unit_values.items())))
+    eta_p: DirichletCharacter
 
     def unit_value(self, u: int) -> RootU:
-        if self.n_p == 0:
-            return RootU.one()
-        return self.unit_values[u % (self.p**self.n_p)]
+        return self.eta_p.inverse_value(u)
 
     def value(self, x: Fraction | int) -> RootU:
         """chi_p on a nonzero rational, via v_p and the unit part mod p^(n_p)."""
@@ -389,44 +391,25 @@ class LocalCharacterData:
         return (self.chi_at_p ** v) * self.unit_value(u_int)
 
     def is_quadratic(self) -> bool:
-        return self.chi_at_p.order <= 2 and all(v.order <= 2 for v in self.unit_values.values())
+        return self.chi_at_p.order <= 2 and self.eta_p.is_quadratic()
 
 
 def local_component(eta: DirichletCharacter, p: int) -> LocalCharacterData:
-    """Local data of the adelization of a primitive eta at the prime p."""
+    """Local data of the adelization of a primitive eta at the prime p.
+
+    eta_p is the component of eta at p and chi_p(p) the value at p of the
+    product of the other components.
+    """
     if not eta.is_primitive():
         raise ValueError("adelization requires a primitive character")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    N = eta.modulus
-    n_p = valuation(N, p) if N % p == 0 else 0
-    if n_p == 0:
-        val = eta(p)
-        assert val != 0
-        return LocalCharacterData(p, 0, val, {1: RootU.one()})
+    at_p = [comp for comp in eta._components if comp.p == p]
+    n_p = at_p[0].a if at_p else 0
     q = p**n_p
-    M = N // q
-    # x_p = p mod M, x_p = 1 mod q
-    if M == 1:
-        x_p = 1
-    else:
-        inv_q = pow(q, -1, M)
-        x_p = (1 + q * ((p - 1) * inv_q % M)) % N
-        assert x_p % q == 1 and x_p % M == p % M
-    chi_at_p = eta(x_p)
-    # eta_p = component of eta at p: evaluate eta on lifts that are 1 mod M.
-    unit_values = {}
-    for u in range(1, q):
-        if u % p == 0:
-            continue
-        if M == 1:
-            lift = u
-        else:
-            lift = (u * M * pow(M, -1, q) + q * pow(q, -1, M)) % N
-        t = eta.exponent(lift)
-        assert t is not None
-        unit_values[u] = RootU(-t)  # chi_p(u) = eta_p(u)^(-1)
-    return LocalCharacterData(p, n_p, chi_at_p, unit_values)
+    rest = [comp for comp in eta._components if comp.p != p]
+    chi_at_p = DirichletCharacter._from_components(eta.modulus // q, rest)(p)
+    return LocalCharacterData(p, n_p, chi_at_p, DirichletCharacter._from_components(q, at_p))
 
 
 def kronecker_character(D: int) -> DirichletCharacter:

@@ -25,7 +25,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import __version__, lvalues
-from .arith import HalfIntegralForm
+from .arith import HalfIntegralForm, is_prime
 from .characters import DirichletCharacter, power_character, product_with_kronecker
 from .fourier import (
     CoefficientRecord,
@@ -148,8 +148,7 @@ def _parse_T(text: str) -> HalfIntegralForm:
 
 
 def cmd_local(args) -> int:
-    from .characters import LocalCharacterData
-    from .cyclotomic import RootU
+    from .characters import local_component
     from .localfactors import (
         GoodPlaceInput,
         K_closed_form,
@@ -173,12 +172,12 @@ def cmd_local(args) -> int:
         val = volume_R(args.i, args.j, T, args.p, args.B)
         print(json.dumps({"which": "volume", "value": str(val)}))
         return EXIT_OK
-    chi = _quadratic_local(args.p, args.chip) if args.chi == "quad" else None
-    if chi is None:
-        eta = DirichletCharacter.from_label(args.character)
-        from .characters import local_component
-
-        chi = local_component(eta, args.p)
+    if args.chi == "quad":
+        if args.p == 2 or not is_prime(args.p):
+            raise ValueError(f"--chi quad needs an odd prime, not -p {args.p}")
+        chi = _quadratic_local(args.p, args.chip)
+    else:
+        chi = local_component(DirichletCharacter.from_label(args.character), args.p)
     T = _parse_T(args.T)
     if args.which == "K":
         res = K_closed_form(RamifiedPlaceInput(args.p, chi, T, args.s))

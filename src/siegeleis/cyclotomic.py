@@ -91,8 +91,10 @@ class RootU:
     __slots__ = ("t",)
 
     def __init__(self, t):
-        t = Fraction(t)
-        self.t = t - (t.numerator // t.denominator)  # reduce to [0, 1)
+        if not (isinstance(t, Fraction) and 0 <= t.numerator < t.denominator):
+            t = Fraction(t)
+            t -= t.numerator // t.denominator  # reduce to [0, 1)
+        self.t = t
 
     @classmethod
     def one(cls) -> "RootU":
@@ -127,9 +129,6 @@ class RootU:
     def __hash__(self):
         # the normalised trace, as for Cyclotomic; 1 and -1 hash as the ints do
         return hash(_root_trace(self.order))
-
-    def is_real(self) -> bool:
-        return self.order <= 2
 
     def as_fraction(self) -> Fraction:
         if self.t == 0:

@@ -1,12 +1,13 @@
 """Closed-form local quantities for the Fourier coefficient formula.
 
-* the multiplicative triple divisor sum H~_(D,s,eta)(e, f);
-* the unramified local integral at good places (exact in the ring generated
-  by p^(-s) and the character value at p);
+* the good-place sum: the unramified local integral at p (exact in the ring
+  generated by p^(-s) and the character value at p) is an Euler factor
+  times this sum, and the triple divisor sum H~_(D,s,eta)(e, f) is its
+  product over the p | f prime to the level;
 * the table of K(s, T, chi) for odd p and quadratic chi, with its elliptic
   curve point counts a_p and a~_p;
 * the ramified local integral assembled from an epsilon factor and K;
-* epsilon factors as normalized Gauss sums.
+* epsilon factors as normalized Gauss sums G(eta_p) of the CRT component.
 
 Conventions.  The additive character of Q_p with conductor Z_p used
 throughout is psi_p(x) = e^(-2 pi i {x}_p), the local component of the
@@ -32,14 +33,13 @@ import mpmath
 
 from .arith import (
     HalfIntegralForm,
-    divisors,
+    factorize,
     fundamental_discriminant,
     kronecker_symbol,
-    moebius,
     valuation,
 )
-from .characters import LocalCharacterData
-from .cyclotomic import Cyclotomic, RootU
+from .characters import LocalCharacterData, gauss_sum
+from .cyclotomic import RootU
 from .scalars import mp_workdps, to_mpc
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "ramified_local_factor",
     "epsilon_factor",
     "epsilon_exact_parts",
-    "local_gauss_sum",
 ]
 
 _INF = math.inf
@@ -76,40 +75,46 @@ def _zeta_pow(chi_val, k: int):
     return q**abs(k)
 
 
+def _good_place_sum(p: int, chi_at_p, L: int, e_p: int, f_p: int, s: int):
+    """sum_{i <= e_p} chi^-i p^(i(s-1)) [S(f_p - i) - L chi^-1 p^(s-2) S(f_p - i - 1)],
+    with S(k) = sum_{j <= k} chi^-2j p^(j(2s-3)) and chi = chi_p(p).
+
+    This is the p-part of H~ and, times an Euler factor, the unramified
+    local integral; S(-1) = 0.
+    """
+
+    def zp(k: int):
+        return _zeta_pow(chi_at_p, k)
+
+    P = Fraction(p)
+    partial = [Fraction(0)]  # partial[k] = S(k - 1)
+    for j in range(f_p + 1):
+        partial.append(partial[-1] + zp(-2 * j) * P ** (j * (2 * s - 3)))
+    twist = L * zp(-1) * P ** (s - 2)
+    total = Fraction(0)
+    for i in range(e_p + 1):
+        total = total + zp(-i) * P ** (i * (s - 1)) * (partial[f_p - i + 1] - twist * partial[f_p - i])
+    return total
+
+
 @lru_cache(maxsize=None)
 def h_tilde(D: int, s: int, eta, e: int, f: int):
     """H~_(D,s,eta)(e, f): the triple divisor sum attached to -Delta = D f^2.
 
     sum_{d | e} eta^-1(d) d^(s-1) sum_{g | f/d} mu(g) chi_D(g) eta^-1(g)
-    g^(s-2) sum_{h | f/(dg)} eta^-2(h) h^(2s-3), requiring e | f.
-    Memoised per argument tuple: the value (a Fraction or a Cyclotomic) is
-    immutable and shared by every caller.
+    g^(s-2) sum_{h | f/(dg)} eta^-2(h) h^(2s-3), requiring e | f.  It is
+    multiplicative: the product over p^a || f of the good-place sum at
+    chi_p(p) = eta(p), L = chi_D(p), (e_p, f_p) = (v_p(e), a); a p | N
+    contributes 1, as eta(p) = 0.  Memoised per argument tuple: the value
+    (a Fraction or a Cyclotomic) is immutable and shared by every caller.
     """
     if e < 1 or f % e:
         raise ValueError("need e >= 1 and e | f")
-    total = Fraction(0)
-    for d in divisors(e):
-        vd = eta.inverse_value(d)
-        if not vd:
-            continue
-        for g in divisors(f // d):
-            mu = moebius(g)
-            if mu == 0:
-                continue
-            chg = kronecker_symbol(D, g)
-            if chg == 0:
-                continue
-            vg = eta.inverse_value(g)
-            if not vg:
-                continue
-            inner = Fraction(0)
-            for h in divisors(f // (d * g)):
-                vh = eta.inverse_value(h)
-                if not vh:
-                    continue
-                inner = inner + (vh * vh) * Fraction(h) ** (2 * s - 3)
-            term = (vd * vg) * (mu * chg * Fraction(d) ** (s - 1) * Fraction(g) ** (s - 2))
-            total = total + term * inner
+    total = Fraction(1)
+    for p, a in factorize(f):
+        chi_at_p = eta(p)
+        if chi_at_p:
+            total = total * _good_place_sum(p, chi_at_p, kronecker_symbol(D, p), valuation(e, p), a, s)
     return total
 
 
@@ -132,13 +137,12 @@ class GoodPlaceInput:
 
 
 def unramified_local_factor(inp: GoodPlaceInput):
-    """The good-place local integral in closed form.
+    """The good-place local integral in closed form: Euler part, times
+    chi_p(p)^(2 f_p) p^(f_p (3-2s)), times the good-place sum.
 
-    Exact in the ring generated by p^(-s) and chi_p(p); the empty inner sums
-    at f_p - i - 1 < 0 contribute 0.
+    Exact in the ring generated by p^(-s) and chi_p(p).
     """
-    p, s, L = inp.p, inp.s, inp.L
-    e, f = inp.e_p, inp.f_p
+    p, s, L, f = inp.p, inp.s, inp.L, inp.f_p
 
     def zp(k: int):
         return _zeta_pow(inp.chi_at_p, k)
@@ -148,17 +152,7 @@ def unramified_local_factor(inp: GoodPlaceInput):
     den = 1 - L * zp(1) * P ** (1 - s)
     pref = num / den
     scale = zp(2 * f) * P ** (f * (3 - 2 * s))
-    total = Fraction(0)
-    for i in range(e + 1):
-        inner1 = Fraction(0)
-        for j in range(f - i + 1):
-            inner1 = inner1 + zp(-2 * j) * P ** (j * (2 * s - 3))
-        inner2 = Fraction(0)
-        for j in range(f - i):
-            inner2 = inner2 + zp(-2 * j) * P ** (j * (2 * s - 3))
-        bracket = inner1 - (L * zp(-1) * P ** (s - 2)) * inner2
-        total = total + zp(-i) * P ** (i * (s - 1)) * bracket
-    return pref * scale * total
+    return pref * scale * _good_place_sum(p, inp.chi_at_p, L, inp.e_p, f, s)
 
 
 @lru_cache(maxsize=None)
@@ -294,24 +288,6 @@ def K_closed_form(inp: RamifiedPlaceInput) -> LocalFactorResult:
     return LocalFactorResult(lead * inner + tail, "closed-form")
 
 
-def local_gauss_sum(chi: LocalCharacterData) -> Cyclotomic:
-    """G(eta_p) = sum over units u mod p^(n_p) of eta_p(u) e(u / p^(n_p)).
-
-    Exact in Q(zeta_n), n = lcm(p^(n_p), ord eta_p): one integer histogram
-    of the phase indices, as in `characters.gauss_sum`.
-    """
-    if chi.n_p < 1:
-        raise ValueError("unramified character has no local Gauss sum here")
-    q = chi.p**chi.n_p
-    n = math.lcm(q, *(val.order for val in chi.unit_values.values()))
-    counts = [0] * n
-    for u, val in chi.unit_values.items():
-        # unit_values stores chi_p(u) = eta_p(u)^(-1) = e(t)
-        t = val.t
-        counts[(u * (n // q) - t.numerator * (n // t.denominator)) % n] += 1
-    return Cyclotomic(n, counts)
-
-
 @lru_cache(maxsize=None)
 def epsilon_exact_parts(chi: LocalCharacterData):
     """epsilon(1/2, chi_p, psi_p) = p^(-n_p/2) * (exact cyclotomic part).
@@ -322,9 +298,7 @@ def epsilon_exact_parts(chi: LocalCharacterData):
     """
     if chi.n_p < 1:
         raise ValueError("epsilon factor requires a ramified character")
-    q = chi.p**chi.n_p
-    eta_minus1 = chi.unit_value(q - 1).inverse()  # eta_p(-1)
-    part = _zeta_pow(chi.chi_at_p, chi.n_p) * (eta_minus1.as_scalar() * local_gauss_sum(chi))
+    part = _zeta_pow(chi.chi_at_p, chi.n_p) * (chi.eta_p(-1).as_scalar() * gauss_sum(chi.eta_p))
     return part, chi.n_p
 
 

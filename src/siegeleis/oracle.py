@@ -831,9 +831,7 @@ def ramified_integral_exact(T: HalfIntegralForm, chi: LocalCharacterData, s: int
             i_max += 1
     if m != 0 and valuation(m, p) < 2 * n_p:
         return mpmath.mpc(0), Fraction(0)
-    # Unit values as exponents in Q/Z for exact slot accumulation.
     qn = p**n_p
-    inv_unit = {u: chi.unit_values[u].inverse() for u in chi.unit_values}
     with mp_workdps(32):
         # I_1: classes mu0 = u p^(-n_p), u a unit mod p^(n_p); each integral
         # over mu0 + Z_p contributes once; the kappa integral gave p^(2 n_p).
@@ -842,7 +840,7 @@ def ramified_integral_exact(T: HalfIntegralForm, chi: LocalCharacterData, s: int
             if u % p == 0:
                 continue
             ph = psi_phase(Fraction(r * u, qn), p).inverse()
-            acc += to_mpc(inv_unit[u] * ph)
+            acc += to_mpc(chi.eta_p(u) * ph)
         I1 = mpmath.mpf(p) ** (2 * n_p - 2 * n_p * s) * to_mpc(chi.chi_at_p**n_p) * acc
         # I_2: shells v(lambda) = -i; classes ell mod p^i, u mod p^(n_p + i),
         # both units; phase n lam + r mu + m mu^2 / lam with lam = ell p^-i,
@@ -868,7 +866,7 @@ def ramified_integral_exact(T: HalfIntegralForm, chi: LocalCharacterData, s: int
             shell = mpmath.mpc(0)
             for (num, ucls), cnt in slots.items():
                 ph = psi_phase(Fraction(num, qmu), p).inverse()
-                shell += cnt * to_mpc(inv_unit[ucls] * ph)
+                shell += cnt * to_mpc(chi.eta_p(ucls) * ph)
             # chi(mu)^(-1) = chi_p(p)^(n_p + i) chi_u(u)^(-1)
             chi_pow = chi.chi_at_p ** (n_p + i)
             I2 += (

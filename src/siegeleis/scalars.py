@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
@@ -168,8 +169,9 @@ class Exact:
         return s
 
 
+@lru_cache(maxsize=None)
 def _extract_square(n: int) -> tuple[Fraction, int]:
-    """n = (a**2) * root with root squarefree; returns (a, root)."""
+    """n = (a**2) * root with root squarefree; returns (a, root), memoised on n."""
     a, root = 1, 1
     for p, e in factorize(n):
         a *= p ** (e // 2)

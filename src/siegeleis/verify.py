@@ -24,6 +24,7 @@ from .characters import (
     LocalCharacterData,
     gauss_sum,
     gauss_sum_numeric,
+    kronecker_character,
     primitive_characters_mod,
 )
 from .cyclotomic import RootU
@@ -56,9 +57,13 @@ def _nonresidue(p: int) -> int:
 
 
 def _quadratic_local(p: int, chi_at_p: int = 1) -> LocalCharacterData:
-    """The ramified quadratic local character at odd p, chi(p) = +-1."""
-    units = {u: RootU(Fraction(0) if pow(u, (p - 1) // 2, p) == 1 else Fraction(1, 2)) for u in range(1, p)}
-    return LocalCharacterData(p, 1, RootU(0 if chi_at_p == 1 else Fraction(1, 2)), units)
+    """The ramified quadratic local character at odd p, chi(p) = +-1.
+
+    eta_p is the Legendre symbol mod p, the character chi_(p*) of the prime
+    discriminant p* = +-p.
+    """
+    legendre = kronecker_character(p if p % 4 == 1 else -p)
+    return LocalCharacterData(p, 1, RootU(0 if chi_at_p == 1 else Fraction(1, 2)), legendre)
 
 
 def suite_n1_classical(seed: int = 0):
@@ -146,7 +151,7 @@ def suite_unramified(seed: int = 0):
                     T = _good_T(p, e, f, L)
                     for zeta in (1, -1):
                         for s in (4, 5):
-                            formula = unramified_local_factor_from(p, zeta, L, e, f, s)
+                            formula = unramified_local_factor(GoodPlaceInput(p, Fraction(zeta), L, e, f, s))
                             oracle = unramified_integral_exact(T, p, Fraction(zeta), s)
                             checked += 1
                             if formula != oracle:
@@ -161,10 +166,6 @@ def suite_unramified(seed: int = 0):
         f"(oracle tail = 0 < p^-10) ({elapsed:.1f}s)"
     )
     return ok and elapsed < 600.0, lines
-
-
-def unramified_local_factor_from(p, zeta, L, e, f, s):
-    return unramified_local_factor(GoodPlaceInput(p, Fraction(zeta), L, e, f, s))
 
 
 def suite_volumes(seed: int = 0):

@@ -1,13 +1,15 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from siegeleis.arith import divisors, factorize, fundamental_discriminant, kronecker_symbol
+from siegeleis.arith import divisors, factorize, fundamental_discriminant, kronecker_symbol, valuation
 from siegeleis.characters import (
     DirichletCharacter,
+    _gauss_phase_counts,
     characters_mod,
     gauss_sum,
     gauss_sum_numeric,
@@ -147,6 +149,49 @@ def test_local_component_values():
         assert lc.n_p == 0 and lc.chi_at_p == RootU.one()
 
 
+def _crt_lift_local_reference(eta, p):
+    """chi_p(p) and the table u -> chi_p(u) by CRT lifts (the former
+    `local_component` body): chi_p(p) = eta(x_p) with x_p = p mod N/p^(n_p)
+    and 1 mod p^(n_p), chi_p(u) = eta(lift)^(-1) with lift = u mod p^(n_p)
+    and 1 mod N/p^(n_p)."""
+    N = eta.modulus
+    n_p = valuation(N, p)
+    q = p**n_p
+    M = N // q
+    x_p = 1 if M == 1 else (1 + q * ((p - 1) * pow(q, -1, M) % M)) % N
+    assert x_p % q == 1 and x_p % M == p % M
+    table = {}
+    for u in range(1, q):
+        if u % p:
+            lift = u if M == 1 else (u * M * pow(M, -1, q) + q * pow(q, -1, M)) % N
+            table[u] = RootU(-eta.exponent(lift))
+    return eta(x_p), table
+
+
+def test_local_component_matches_crt_lift_table():
+    checked = 0
+    for N in range(2, 80):
+        for eta in primitive_characters_mod(N):
+            for p, _ in factorize(N):
+                lc = local_component(eta, p)
+                chi_at_p, table = _crt_lift_local_reference(eta, p)
+                q = p**lc.n_p
+                assert lc.chi_at_p == chi_at_p and lc.eta_p.modulus == q, (eta.label, p)
+                assert {u: lc.unit_value(u) for u in table} == table, (eta.label, p)
+                # G(eta_p) term by term: each eta_p(u) e(u/q) is zeta_n^k, and
+                # `gauss_sum` reduces the histogram of the k (reducing mod Phi_n
+                # at n up to 71 * 70 is what costs; N <= 30 compares reduced sums
+                # in `test_local_gauss_sum_histogram_matches_termwise_sum`)
+                n = math.lcm(q, *(val.order for val in table.values()))
+                terms = Counter()
+                for u, val in table.items():
+                    t = val.inverse().t
+                    terms[(t.numerator * (n // t.denominator) + u * (n // q)) % n] += 1
+                assert _gauss_phase_counts(lc.eta_p) == (n, terms), (eta.label, p)
+                checked += 1
+    assert checked == 1543
+
+
 def test_local_component_conductor_exponent():
     from siegeleis.arith import valuation
 
@@ -236,6 +281,8 @@ def test_character_algebra_against_brute_force():
                 t = eta.exponent(x)
                 want = None if t is None else (k * t) % 1
                 assert pw.exponent(x) == want
+                if k == -1:
+                    assert eta.inverse_value(x) == (0 if t is None else RootU(want))
             _rebuilt(pw)
         # chi_D * eta for two discriminants per eta; each D meets many etas
         for D in (Ds[i % len(Ds)], Ds[(7 * i + 3) % len(Ds)]):

@@ -142,6 +142,14 @@ def test_local_K_dual(capsys):
     assert info.value.code == EXIT_DOMAIN and "--np" in capsys.readouterr().err
 
 
+def test_local_quad_needs_an_odd_prime(capsys):
+    # there is no ramified quadratic character of conductor 2 (nor at a composite p)
+    for which, p in (("K", "2"), ("ramified", "2"), ("K", "15")):
+        code, out, err = run(capsys, "local", which, "--chi", "quad", "-p", p, "-T", "1,2,4")
+        assert code == EXIT_DOMAIN and out == ""
+        assert err.startswith("error:") and "--chi quad needs an odd prime" in err
+
+
 def test_local_K_oracle_output_is_stable(capsys):
     # oracle-only K at order 4 (5:2) and order 12 (13:2), printed byte for byte
     cases = [

@@ -13,6 +13,9 @@ from siegeleis.scalars import Exact, mp_workdps, to_mpc
 
 def test_rootu_normalization_and_products():
     assert RootU(Fraction(5, 4)).t == Fraction(1, 4)
+    # a Fraction already in [0, 1) is kept as it is; anything else is reduced
+    for t in (Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(7, 3), Fraction(-9, 4), Fraction(1), 2, -3):
+        assert isinstance(RootU(t).t, Fraction) and RootU(t).t == Fraction(t) % 1
     assert RootU(Fraction(1, 3)) * RootU(Fraction(2, 3)) == RootU.one()
     assert (RootU(Fraction(1, 8)) ** 4).t == Fraction(1, 2)
     assert RootU(Fraction(1, 2)).as_fraction() == -1

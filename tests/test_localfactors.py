@@ -7,9 +7,11 @@ import pytest
 
 from siegeleis.arith import (
     HalfIntegralForm,
+    divisors,
     factorize,
     fundamental_discriminant,
     kronecker_symbol,
+    moebius,
     valuation,
 )
 from siegeleis.characters import DirichletCharacter, local_component, gauss_sum, parity, primitive_characters_mod
@@ -22,7 +24,6 @@ from siegeleis.localfactors import (
     curve_count_ap_tilde,
     epsilon_factor,
     h_tilde,
-    local_gauss_sum,
     ramified_local_factor,
     unramified_local_factor,
 )
@@ -60,6 +61,42 @@ def test_h_tilde_multiplicative():
         rhs = h_tilde(-4, 4, eta, e1 * e2, f1 * f2)
         assert lhs == rhs
         pairs += 1
+
+
+def _h_tilde_reference(D, s, eta, e, f):
+    """The triple divisor sum as written in the definition of H~ (the former
+    `h_tilde` body): sum over d | e, squarefree g | f/d and h | f/(dg)."""
+    total = Fraction(0)
+    for d in divisors(e):
+        vd = eta.inverse_value(d)
+        if not vd:
+            continue
+        for g in divisors(f // d):
+            mu, chg, vg = moebius(g), kronecker_symbol(D, g), eta.inverse_value(g)
+            if mu == 0 or chg == 0 or not vg:
+                continue
+            inner = Fraction(0)
+            for h in divisors(f // (d * g)):
+                vh = eta.inverse_value(h)
+                if vh:
+                    inner = inner + (vh * vh) * Fraction(h) ** (2 * s - 3)
+            term = (vd * vg) * (mu * chg * Fraction(d) ** (s - 1) * Fraction(g) ** (s - 2))
+            total = total + term * inner
+    return total
+
+
+def test_h_tilde_matches_triple_divisor_sum():
+    # f < 60 includes every f with p | N; s follows the parity of eta
+    checked = 0
+    for label in ("1:1", "3:2", "5:2", "7:3", "8:5"):
+        eta = DirichletCharacter.from_label(label)
+        s = 4 + parity(eta)
+        for D in (-3, -4, -7, -8, -15, -20, -23, 5, 8, 12):
+            for f in range(1, 60):
+                for e in divisors(f):
+                    assert h_tilde(D, s, eta, e, f) == _h_tilde_reference(D, s, eta, e, f), (label, D, e, f)
+                    checked += 1
+    assert checked == 5 * 10 * sum(len(divisors(f)) for f in range(1, 60))
 
 
 def test_unramified_empty_case():
@@ -219,11 +256,12 @@ def test_epsilon_global_product():
 
 
 def _local_gauss_sum_reference(chi) -> Cyclotomic:
-    """The term-by-term sum that the phase histogram of `local_gauss_sum` replaced."""
+    """G(eta_p) term by term, from the unit values chi_p(u) = eta_p(u)^(-1)."""
     q = chi.p**chi.n_p
     total = Cyclotomic.from_rational(0, q)
-    for u, val in chi.unit_values.items():
-        total = total + (val.inverse() * RootU(Fraction(u, q))).as_scalar()
+    for u in range(1, q):
+        if u % chi.p:
+            total = total + (chi.unit_value(u).inverse() * RootU(Fraction(u, q))).as_scalar()
     return total
 
 
@@ -232,5 +270,5 @@ def test_local_gauss_sum_histogram_matches_termwise_sum():
         for eta in primitive_characters_mod(N):
             for p, _ in factorize(N):
                 chi = local_component(eta, p)
-                got, want = local_gauss_sum(chi), _local_gauss_sum_reference(chi)
+                got, want = gauss_sum(chi.eta_p), _local_gauss_sum_reference(chi)
                 assert (got.n, got.num, got.den) == (want.n, want.num, want.den), (eta.label, p)
