@@ -26,8 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
+
 from .arith import factorize, fundamental_discriminant, is_prime, valuation
-from .cyclotomic import Cyclotomic, RootU
+from .cyclotomic import Cyclotomic, RootU, root_of_unity
+from .scalars import mp_workdps
 
 __all__ = [
     "DirichletCharacter",
@@ -346,23 +349,23 @@ def gauss_sum(eta) -> Cyclotomic:
 
 
 def gauss_sum_numeric(eta):
-    """G(eta) as an mpc at working precision, without cyclotomic overhead.
+    """G(eta) as an mpc at working precision, from Gaussian periods.
 
-    The same integer phase histogram as `gauss_sum`; each distinct root of
-    unity zeta_n^k is evaluated once.
+    The units a mod N fall into classes by the phase j of eta(a) = e(j/ord);
+    the period P_j sums e(a/N) over the class, and G(eta) = sum_j e(j/ord) P_j.
+    Every root comes from `root_of_unity`, so the e(a/N) are computed once
+    per precision and shared by all characters mod N.
     """
-    import mpmath
-
-    from .scalars import mp_workdps
-
     with mp_workdps():
         if eta.modulus == 1:
             return mpmath.mpc(1)
-        n, counts = _gauss_phase_counts(eta)
-        total = mpmath.mpc(0)
-        for k, count in counts.items():
-            total += count * mpmath.expjpi(mpmath.mpf(2 * k) / n)
-        return total
+        N, order = eta.modulus, eta.order()
+        periods: dict[int, list] = {}
+        for a in range(1, N):
+            j = eta._phase(a)
+            if j is not None:
+                periods.setdefault(j, []).append(root_of_unity(a, N))
+        return mpmath.fdot((root_of_unity(j, order), mpmath.fsum(terms)) for j, terms in periods.items())
 
 
 @dataclass(frozen=True)

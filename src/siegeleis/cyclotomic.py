@@ -15,6 +15,9 @@ Two layers:
   the other Galois conjugates over the rational norm.  Euler-type factors
   with character-valued coefficients are thus computed exactly.
 
+Numeric values (`to_mpc` of both) read every root of unity from one memo,
+`root_of_unity`, so each root is evaluated once per working precision.
+
 The cyclotomic polynomials are integer vectors, found by exact division of
 monic integer polynomials.  One index map zeta_n^i -> zeta_m^(a i) embeds
 Q(zeta_n) in Q(zeta_m) (a = m/n) and gives the conjugates (m = n, a a unit
@@ -31,7 +34,25 @@ import mpmath
 
 from .arith import moebius
 
-__all__ = ["RootU", "Cyclotomic", "cyclotomic_polynomial"]
+__all__ = ["RootU", "Cyclotomic", "cyclotomic_polynomial", "root_of_unity"]
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity(k: int, n: int, prec: int) -> mpmath.mpc:
+    return mpmath.expjpi(2 * mpmath.mpf(k) / n)
+
+
+def root_of_unity(k: int, n: int) -> mpmath.mpc:
+    """e(k/n) = exp(2 pi i k/n), 0 <= k < n, at mpmath's working precision.
+
+    The one numeric evaluation of a root of unity in the package: memoised
+    on k/n in lowest terms and `mpmath.mp.prec`, so each root is computed
+    once per precision and shared by every caller.  As the division 2k/n
+    is correctly rounded, the value does not depend on the representation
+    of k/n.
+    """
+    g = math.gcd(k, n)
+    return _root_of_unity(k // g, n // g, mpmath.mp.prec)
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +165,8 @@ class RootU:
         return Cyclotomic.zeta_power(self.order, self.t.numerator)
 
     def to_mpc(self) -> mpmath.mpc:
-        return mpmath.expjpi(2 * mpmath.mpf(self.t.numerator) / self.t.denominator)
+        """e(t) at mpmath's working precision, read from `root_of_unity`."""
+        return root_of_unity(self.t.numerator, self.t.denominator)
 
     def __repr__(self):
         return f"RootU({self.t})"
@@ -258,6 +280,19 @@ class Cyclotomic:
     def __rtruediv__(self, other):
         return self.inverse() * other
 
+    def __pow__(self, k: int) -> "Cyclotomic":
+        """x^k for an integer k, by repeated squaring; k < 0 goes through `inverse`."""
+        if k < 0:
+            return self.inverse() ** -k
+        result, base = Cyclotomic.from_rational(1, self.n), self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
+        return result
+
     def inverse(self) -> "Cyclotomic":
         """x^(-1) = prod_(a != 1) sigma_a(x) / N(x), the norm N(x) rational."""
         if not any(self.num):
@@ -293,19 +328,19 @@ class Cyclotomic:
         return Fraction(self.num[0], self.den)
 
     def to_mpc(self) -> mpmath.mpc:
+        """sum_i (num_i / den) zeta_n^i at mpmath's working precision.
+
+        Each coefficient is rounded as the Fraction num_i / den in lowest
+        terms; each zeta_n^i is read from `root_of_unity`.
+        """
         total = mpmath.mpc(0)
-        for x, root in zip(self.num, _root_values(self.n, mpmath.mp.prec)):
+        for i, x in enumerate(self.num):
             if x:
                 q = Fraction(x, self.den)
-                total += root * mpmath.mpf(q.numerator) / q.denominator
+                total += root_of_unity(i, self.n) * mpmath.mpf(q.numerator) / q.denominator
         return total
 
     def __repr__(self):
         terms = [f"{Fraction(x, self.den)}*z{self.n}^{i}" for i, x in enumerate(self.num) if x]
         return " + ".join(terms) if terms else "0"
 
-
-@lru_cache(maxsize=None)
-def _root_values(n: int, prec: int) -> tuple:
-    """zeta_n^i for i < deg Phi_n at mpmath's current precision, `prec` bits."""
-    return tuple(mpmath.expjpi(2 * mpmath.mpf(i) / n) for i in range(_phi_terms(n)[0]))

@@ -101,6 +101,55 @@ def test_field_inverse():
             assert prod.is_rational() and prod.as_fraction() == 1
 
 
+def test_power_matches_repeated_multiplication():
+    rng = random.Random(13)
+    for n in (1, 3, 4, 5, 6, 8, 12, 15):
+        for den in (1, 2, 3):
+            x = Cyclotomic(n, [rng.randint(-3, 3) for _ in range(n)], den)
+            power = Cyclotomic.from_rational(1, n)
+            for k in range(9):
+                assert x**k == power and (x**k).n == n
+                power = power * x
+            if any(x.num):
+                inv, power = x.inverse(), Cyclotomic.from_rational(1, n)
+                for k in range(1, 6):
+                    power = power * inv
+                    assert x ** (-k) == power
+    assert Cyclotomic(6, [0]) ** 0 == 1
+    with pytest.raises(ZeroDivisionError):
+        Cyclotomic(6, [0]) ** -1
+
+
+def test_root_of_unity_memo_keyed_by_precision():
+    # RootU.to_mpc, Cyclotomic.to_mpc and gauss_sum_numeric read their roots
+    # from one memo; after a precision change each must equal the value
+    # computed from an empty memo at the new precision
+    from siegeleis import cyclotomic
+    from siegeleis.characters import DirichletCharacter, gauss_sum_numeric
+    from siegeleis.scalars import get_precision, set_precision
+
+    root, elem, eta = RootU(Fraction(2, 7)), Cyclotomic(12, [1, -2, 0, 3], 5), DirichletCharacter(13, 2)
+
+    def values():
+        with mp_workdps():
+            return root.to_mpc(), elem.to_mpc(), gauss_sum_numeric(eta)
+
+    saved, prec = get_precision(), mpmath.mp.prec
+    try:
+        set_precision(192)
+        low = values()
+        set_precision(320)
+        high = values()
+        cyclotomic._root_of_unity.cache_clear()
+        assert high == values()
+        with mp_workdps():
+            assert high[0] == mpmath.expjpi(2 * mpmath.mpf(2) / 7)
+        assert all(h != l and abs(h - l) < mpmath.mpf(2) ** -180 for h, l in zip(high, low))
+    finally:
+        set_precision(saved)
+    assert mpmath.mp.prec == prec
+
+
 def test_mixed_order_arithmetic():
     a = Cyclotomic.zeta_power(3, 1)
     b = Cyclotomic.zeta_power(4, 1)

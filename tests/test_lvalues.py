@@ -116,19 +116,29 @@ def test_bernoulli_polynomial_matches_sum():
 
 def test_generalized_bernoulli_matches_definition():
     # B_(n, chi) = f^(n-1) sum_a chi(a) B_n(a/f), evaluated here residue by
-    # residue, for D = 1 and every fundamental |D| <= 400
+    # residue, for D = 1 and every fundamental |D| <= 400.  With C(n, j) B_j
+    # = c_j / d, B_n(a/f) = sum_j c_j f^j a^(n-j) / (d f^n); its integer
+    # numerator is taken by Horner's rule in a, so the sum over a is exact
+    # in integers and B_(n, chi) = (sum of chi(a) times numerator) / (d f).
     fundamental = [D for D in range(-400, 401) if D % 4 in (0, 1) and D and fundamental_discriminant(D).f == 1]
+    bernoulli_coeffs = {}
+    for n in range(1, 13):
+        coeffs = [math.comb(n, j) * bernoulli(j) for j in range(n + 1)]
+        d = math.lcm(*(c.denominator for c in coeffs))
+        bernoulli_coeffs[n] = d, [int(c * d) for c in coeffs]
     for D in fundamental:
         chi = kronecker_character(D)
         f = abs(D)
-        points = [
-            (Fraction(a, f), 1 if chi.exponent(a) == 0 else -1)
-            for a in range(1, f + 1)
-            if chi.exponent(a) is not None
-        ]
-        for n in range(1, 13):
-            total = sum(sign * bernoulli_polynomial(n, x) for x, sign in points)
-            assert generalized_bernoulli(n, chi) == Fraction(f) ** (n - 1) * total, (D, n)
+        points = [(a, 1 if chi.exponent(a) == 0 else -1) for a in range(1, f + 1) if chi.exponent(a) is not None]
+        for n, (d, coeffs) in bernoulli_coeffs.items():
+            scaled = [c * f**j for j, c in enumerate(coeffs)]
+            total = 0
+            for a, sign in points:
+                num = 0
+                for c in scaled:
+                    num = num * a + c
+                total += sign * num
+            assert generalized_bernoulli(n, chi) == Fraction(total, d * f), (D, n)
     with pytest.raises(ValueError):
         generalized_bernoulli(3, DirichletCharacter(7, 3))
 

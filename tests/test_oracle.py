@@ -43,7 +43,7 @@ from siegeleis.oracle import (
 )
 from siegeleis.oracle import _f_integrand_value, _mat, _ramanujan, _residue_valuation_counts
 from siegeleis.scalars import mp_workdps, to_mpc
-from siegeleis.verify import _quadratic_local, run_suite
+from siegeleis.verify import _good_T, _quadratic_local, run_suite
 
 
 def quad_local(p):
@@ -273,6 +273,24 @@ def test_unramified_exact_vs_closed_form():
                     formula = unramified_local_factor(GoodPlaceInput(p, Fraction(zeta), L, e_p, f_p, s))
                     oracle = unramified_integral_exact(T, p, Fraction(zeta), s)
                     assert formula == oracle
+
+
+def test_unramified_exact_vs_closed_form_higher_order():
+    # chi_p(p) of order 3, 4 and 6 with its conjugate, over the grid of
+    # `verify unramified`, which itself runs only chi_p(p) = +-1
+    roots = [RootU(Fraction(j, d)) for d in (3, 4, 6) for j in range(1, d) if math.gcd(j, d) == 1]
+    points = 0
+    for p in (3, 5):
+        for e in range(3):
+            for f in range(e, 3):
+                for L in (-1, 0, 1):
+                    T = _good_T(p, e, f, L)
+                    for zeta in roots:
+                        for s in (4, 5):
+                            formula = unramified_local_factor(GoodPlaceInput(p, zeta, L, e, f, s))
+                            assert formula == unramified_integral_exact(T, p, zeta, s), (p, e, f, L, zeta, s)
+                            points += 1
+    assert points == 432
 
 
 def test_unramified_exact_guards():
