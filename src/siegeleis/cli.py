@@ -148,6 +148,7 @@ def _parse_T(text: str) -> HalfIntegralForm:
 
 
 def cmd_local(args) -> int:
+    from .arith import valuation
     from .characters import local_component
     from .localfactors import (
         GoodPlaceInput,
@@ -172,12 +173,16 @@ def cmd_local(args) -> int:
         val = volume_R(args.i, args.j, T, args.p, args.B)
         print(json.dumps({"which": "volume", "value": str(val)}))
         return EXIT_OK
-    if args.chi == "quad":
+    if args.character is not None:
+        if args.chi == "quad":
+            raise ValueError("-c selects the character; it cannot be combined with --chi quad")
+        chi = local_component(DirichletCharacter.from_label(args.character), args.p)
+    elif args.chi in (None, "quad"):
         if args.p == 2 or not is_prime(args.p):
             raise ValueError(f"--chi quad needs an odd prime, not -p {args.p}")
         chi = _quadratic_local(args.p, args.chip)
     else:
-        chi = local_component(DirichletCharacter.from_label(args.character), args.p)
+        raise ValueError(f"--chi {args.chi} needs a character label -c N:index")
     T = _parse_T(args.T)
     if args.which == "K":
         res = K_closed_form(RamifiedPlaceInput(args.p, chi, T, args.s))
@@ -193,8 +198,13 @@ def cmd_local(args) -> int:
         return EXIT_OK
     # ramified: closed form and oracle
     place = RamifiedPlaceInput(args.p, chi, T, args.s)
-    res = K_closed_form(place)
-    closed = ramified_local_factor(place, res.value if res.available else k_oracle(T, chi, args.s)[0])
+    K = None
+    # the factor reads K only at p | r (as in `fourier._rank2`), and not where
+    # v(m) < 2 n_p makes it 0
+    if T.r % args.p == 0 and (T.m == 0 or valuation(T.m, args.p) >= 2 * chi.n_p):
+        res = K_closed_form(place)
+        K = res.value if res.available else k_oracle(T, chi, args.s)[0]
+    closed = ramified_local_factor(place, K)
     oracle_val, tail = ramified_integral_exact(T, chi, args.s)
     diff = abs(to_mpc(closed) - oracle_val)
     print(
@@ -263,8 +273,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-f", type=int, default=0)
     sp.add_argument("-L", type=int, default=1, choices=(-1, 0, 1))
     sp.add_argument("--chip", type=int, default=1, choices=(1, -1), help="chi_p(p)")
-    sp.add_argument("--chi", default="quad", help="'quad' or use -c label")
-    sp.add_argument("-c", "--character", default=None)
+    sp.add_argument(
+        "--chi",
+        default=None,
+        help="'quad' (the default without -c): the ramified quadratic character at an odd "
+        "prime p, with chi_p(p) from --chip; any other value needs -c",
+    )
+    sp.add_argument(
+        "-c",
+        "--character",
+        default=None,
+        help="character label N:index; its local component at p (not with --chi quad)",
+    )
     sp.add_argument("-i", type=int, default=0)
     sp.add_argument("-j", type=int, default=0)
     sp.add_argument("-B", type=int, default=8)

@@ -8,7 +8,8 @@ building blocks are:
   through the minimum valuation of the Pluecker minors of the bottom 2x4
   block, read off the integer form -- an implementation shortcut that is
   itself validated by the `bootstrap_minor_valuation` battery against
-  elements assembled from known parabolic times integral factors;
+  elements assembled from known parabolic times integral factors (drawn as
+  integer multiples, which leave the rule's value unchanged);
 
 * evaluation of the ramified (paramodular) section: membership in the
   supported double coset is decided by a lattice invariant (the elementary
@@ -45,6 +46,7 @@ on Q.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -191,6 +193,8 @@ def c0_matrix(x) -> Mat:
 
 
 _J1_INT = _scaled(J1)[0]
+_S1_INT = _scaled(S1)[0]
+_S2_INT = _scaled(S2)[0]
 
 
 def _int_similitude(G: IntMat) -> int:
@@ -218,6 +222,17 @@ def _bottom_minors(G: IntMat) -> list[int]:
     return [r[i] * s[j] - r[j] * s[i] for i in range(4) for j in range(i + 1, 4)]
 
 
+def _int_spherical_weight(G: IntMat, p: int) -> int:
+    """v(lambda(G)) - min_p(minors of G), for an integer matrix G.
+
+    Unchanged when G is scaled by a nonzero c: lambda and the minors both
+    scale by c^2.
+    """
+    lam = _int_similitude(G)
+    mv = min(valuation(x, p) for x in _bottom_minors(G) if x != 0)
+    return valuation(lam, p) - mv
+
+
 def spherical_weight(g: Mat, p: int) -> int:
     """w = v(lambda(g)) - min_p(minors): the exponent with f(g) = X(p)^w.
 
@@ -225,10 +240,7 @@ def spherical_weight(g: Mat, p: int) -> int:
     v(u^(-1) det A); see `bootstrap_minor_valuation`.  Read off g = G / d
     with G integral: lambda and the minors both scale by d^(-2), so d cancels.
     """
-    G, _ = _scaled(g)
-    lam = _int_similitude(G)
-    mv = min(valuation(x, p) for x in _bottom_minors(G) if x != 0)
-    return valuation(lam, p) - mv
+    return _int_spherical_weight(_scaled(g)[0], p)
 
 
 def spherical_section_value(g: Mat, chi_at_p, s: int, p: int):
@@ -528,6 +540,7 @@ def _geom_sum(t, j0: int):
     return num / (1 - t)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def _m_mu(p: int, base: int, vsum, sq, zeta, X: Fraction):
     """Sum over mu0 in Q_p/Z_p of (zeta X)^w, w = max(base, j, -v(mu0^2 - a)).
 
@@ -535,7 +548,8 @@ def _m_mu(p: int, base: int, vsum, sq, zeta, X: Fraction):
     representatives); level j has phi(p^j) classes.  vsum = -v(a), with
     None meaning a = 0; sq is the Legendre symbol of the unit of a.  The
     deep levels form a geometric series in p (zeta X)^2, so the result is
-    exact.
+    exact.  Memoised on its arguments, typed: RootU(1/2) equals and hashes
+    like Fraction(-1) but gives a value of another type.
     """
 
     def ts(w: int):
@@ -764,6 +778,9 @@ def k_oracle(T: HalfIntegralForm, chi: LocalCharacterData, s: int):
         raise ValueError("K needs nonsingular T")
     if n_p < 1:
         raise ValueError("the K oracle needs a ramified chi_p (n_p >= 1)")
+    if r % p:
+        # at v(r) = 0 the support of the j-sum lies below j = 1 - n_p
+        raise ValueError("K needs p | r")
     # Depth bound, with D = v(disc G) = 2n_p + v(Delta).  At depth d >= d0 =
     # D/2 + 1 + max(0, n_p - 1 - v(m)) the class of a unit root u0 is dropped
     # (w = D/2, v(G(u)) >= d + D/2).  On an undecided class holding no root,
@@ -1139,11 +1156,15 @@ def sl2_lower_identity(x: Fraction) -> bool:
     """The 2x2 identity used throughout the reductions, checked exactly:
 
     [[1,0],[x,1]] = [[1,1/x],[0,1]] [[-1/x,0],[0,-x]] [[0,1],[-1,0]] [[1,1/x],[0,1]].
+
+    In integers: with x = a/b, the four factors times a, ab, 1 and a have
+    the product a^3 [[b,0],[a,b]].
     """
     if x == 0:
         raise ValueError("x must be nonzero")
-    a = ((1, Fraction(1, x)), (0, 1))
-    b = ((Fraction(-1, x), 0), (0, -x))
+    a, b = x.numerator, x.denominator
+    unip = ((a, b), (0, a))
+    diag = ((-b * b, 0), (0, -a * a))
     w = ((0, 1), (-1, 0))
 
     def mul2(u, v):
@@ -1151,73 +1172,81 @@ def sl2_lower_identity(x: Fraction) -> bool:
             tuple(sum(u[i][k] * v[k][j] for k in range(2)) for j in range(2)) for i in range(2)
         )
 
-    rhs = mul2(mul2(mul2(a, b), w), a)
-    return rhs == ((1, 0), (Fraction(x), 1))
+    rhs = mul2(mul2(mul2(unip, diag), w), unip)
+    a3 = a**3
+    return rhs == ((a3 * b, 0), (a3 * a, a3 * b))
 
 
-def _random_p_element(rng: random.Random, p: int) -> tuple[Mat, int]:
-    """Random element of the Siegel parabolic with rational entries.
+def _random_p_element(rng: random.Random, p: int) -> tuple[IntMat, int]:
+    """Random element q of the Siegel parabolic, as an integer multiple Q of it.
 
-    Returns (q, v) with v = v_p(u^(-1) det A) known by construction.
+    q = [[A, 0], [0, u A-hat]] U, U an integral upper unipotent, with A and
+    u drawn with factors p^(-2..2).  With A' = p^2 A = [[a, b], [c, d]] and
+    u' = p^2 u, both integral, A-hat = w A^(-t) w = p^2 [[a, -b], [-c, d]] /
+    det A', so
+
+        p^2 det A' q = [[det A' A', 0], [0, p^2 u' [[a, -b], [-c, d]]]] U.
+
+    Returns (Q, v) with v = v_p(u^(-1) det A) = v(det A') - v(u') - 2.
     """
     while True:
-        A = [
-            [
-                Fraction(rng.randint(-9, 9)) * Fraction(p) ** rng.randint(-2, 2)
-                for _ in range(2)
-            ]
-            for _ in range(2)
-        ]
-        det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
+        A = [[rng.randint(-9, 9) * p ** (rng.randint(-2, 2) + 2) for _ in range(2)] for _ in range(2)]
+        (a, b), (c, d) = A
+        det = a * d - b * c
         if det != 0:
             break
-    u = Fraction(rng.choice([1, -1, 2, 3, 5, 7])) * Fraction(p) ** rng.randint(-2, 2)
-    # A-hat = w A^(-t) w with w = antidiag(1, 1): entries (wMw)_ij = M_(1-i)(1-j)
-    Ainv = _inv2(A)
-    AinvT = [[Ainv[0][0], Ainv[1][0]], [Ainv[0][1], Ainv[1][1]]]
-    Ahat = [[AinvT[1][1], AinvT[1][0]], [AinvT[0][1], AinvT[0][0]]]
-    q = _mat(
-        [
-            [A[0][0], A[0][1], 0, 0],
-            [A[1][0], A[1][1], 0, 0],
-            [0, 0, u * Ahat[0][0], u * Ahat[0][1]],
-            [0, 0, u * Ahat[1][0], u * Ahat[1][1]],
-        ]
+    u = rng.choice([1, -1, 2, 3, 5, 7]) * p ** (rng.randint(-2, 2) + 2)
+    pu = p * p * u
+    Q = (
+        (det * a, det * b, 0, 0),
+        (det * c, det * d, 0, 0),
+        (0, 0, pu * a, -pu * b),
+        (0, 0, -pu * c, pu * d),
     )
     # multiply by an upper unipotent inside P
-    x, y, z = (Fraction(rng.randint(-6, 6)) for _ in range(3))
-    q = mat_mul(q, upper_unipotent(x, y, z))
-    v = valuation(det / u, p)
-    return q, v
+    x, y, z = (rng.randint(-6, 6) for _ in range(3))
+    Q = _int_mul(Q, ((1, 0, x, y), (0, 1, z, x), (0, 0, 1, 0), (0, 0, 0, 1)))
+    return Q, _v(det, p) - _v(u, p) - 2
 
 
-def _random_integral_k(rng: random.Random, p: int) -> Mat:
-    """Random element of GSp(4, Z_p)-integral type with unit similitude."""
+def _random_integral_k(rng: random.Random, p: int) -> IntMat:
+    """Random element of GSp(4, Z_p)-integral type with unit similitude.
+
+    Returned as a nonzero integer multiple of it: every generator is an
+    integer matrix, diag(a, b, u/b, u/a) taken times ab.
+    """
     gens = []
     for _ in range(rng.randint(4, 10)):
         c = rng.randrange(6)
         if c == 0:
-            gens.append(S1)
+            gens.append(_S1_INT)
         elif c == 1:
-            gens.append(S2)
+            gens.append(_S2_INT)
         elif c == 2:
-            gens.append(upper_unipotent(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)))
+            mu, kappa, lam = rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)
+            gens.append(((1, 0, mu, kappa), (0, 1, lam, mu), (0, 0, 1, 0), (0, 0, 0, 1)))
         elif c == 3:
-            gens.append(lower_unipotent(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)))
+            mu, kappa, lam = rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)
+            gens.append(((1, 0, 0, 0), (0, 1, 0, 0), (mu, kappa, 1, 0), (lam, mu, 0, 1)))
         elif c == 4:
             a = rng.choice([1, -1, 1 + p, 1 - p])
             b = rng.choice([1, -1, 1 + p])
             u = rng.choice([1, -1])
-            gens.append(_mat([[a, 0, 0, 0], [0, b, 0, 0], [0, 0, Fraction(u, b), 0], [0, 0, 0, Fraction(u, a)]]))
+            gens.append(((a * a * b, 0, 0, 0), (0, a * b * b, 0, 0), (0, 0, u * a, 0), (0, 0, 0, u * b)))
         else:
             x = rng.choice([1, 2, p - 1, p + 1])
-            gens.append(c0_matrix(x))
-    return mat_mul(*gens)
+            gens.append(((1, 0, 0, 0), (0, 1, 0, 0), (x, 0, 1, 0), (0, x, 0, 1)))
+    out = gens[0]
+    for g in gens[1:]:
+        out = _int_mul(out, g)
+    return out
 
 
 def bootstrap_minor_valuation(p: int, trials: int, seed: int) -> int:
     """Validate the minor-valuation rule on elements q k with known value.
 
+    q and k are drawn as integer multiples (`_random_p_element`,
+    `_random_integral_k`), and the rule is read off their integer product.
     Also re-checks the 2x2 lower-triangular identity on random nonzero x.
     Returns the number of successful trials; raises on any failure.
     """
@@ -1226,10 +1255,9 @@ def bootstrap_minor_valuation(p: int, trials: int, seed: int) -> int:
         x = Fraction(rng.randint(1, 50), rng.randint(1, 50)) * Fraction(p) ** rng.randint(-3, 3)
         if not sl2_lower_identity(x):
             raise AssertionError(f"2x2 identity failed at x = {x}")
-        q, v = _random_p_element(rng, p)
-        k = _random_integral_k(rng, p)
-        g = mat_mul(q, k)
-        w = spherical_weight(g, p)
+        Q, v = _random_p_element(rng, p)
+        K = _random_integral_k(rng, p)
+        w = _int_spherical_weight(_int_mul(Q, K), p)
         if w != v:
             raise AssertionError(f"trial {t}: minor rule gave {w}, construction gave {v}")
     return trials

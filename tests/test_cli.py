@@ -175,6 +175,69 @@ def test_local_ramified_finishes_within_tail(capsys):
     assert 0 < tail < Fraction(1, 10**8) and float(rec["difference"]) <= tail
 
 
+def test_local_K_needs_p_dividing_r(capsys):
+    # at v(r) = 0 the j-sum of K has no support at j >= 1 - n_p: a domain error
+    code, out, err = run(capsys, "local", "K", "-p", "3", "-T", "1,1,9", "-s", "5")
+    assert code == EXIT_DOMAIN and out == "" and "K needs p | r" in err
+
+
+def _complex(text):
+    """A value of `local ramified`, printed by mpmath as '(re + imj)'."""
+    return complex(text.replace(" ", ""))
+
+
+def test_local_ramified_reads_no_K_at_unit_r(capsys):
+    # as in the a(T) assembly, the factor at p not dividing r takes no K
+    for label, p, form in (("5:2", "5", "1,1,25"), ("5:2", "5", "2,3,25"), ("3:2", "3", "1,1,9"),
+                           ("7:3", "7", "1,1,49")):
+        code, out, _ = run(capsys, "local", "ramified", "--chi", "x", "-c", label, "-p", p, "-T", form, "-s", "5")
+        assert code == 0, (label, form)
+        rec = json.loads(out)
+        assert float(rec["difference"]) < 1e-60 and _complex(rec["closed_form"]) != 0, (label, form)
+    # where v(m) < 2 n_p the factor is 0 whatever K is, and K is not asked for
+    code, out, _ = run(capsys, "local", "ramified", "-c", "9:2", "-p", "3", "-T", "1,3,3", "-s", "5")
+    assert code == 0 and json.loads(out)["closed_form"] == "(0.0 + 0.0j)"
+
+
+def test_local_c_selects_the_character(capsys):
+    args = ("local", "ramified", "-p", "5", "-T", "1,5,25", "-s", "5")
+    code, out, _ = run(capsys, *args, "-c", "5:2")
+    assert code == 0
+    assert _complex(json.loads(out)["closed_form"]) == pytest.approx(-1.2606191768e-8 + 2.9759181947e-9j)
+    # --chi with any value but quad defers to -c, as before
+    code, same, _ = run(capsys, *args, "--chi", "x", "-c", "5:2")
+    assert code == 0 and same == out
+    # without -c the quadratic character mod 5 is used
+    code, quad, _ = run(capsys, *args)
+    assert code == 0 and _complex(json.loads(quad)["closed_form"]) == pytest.approx(1.8317868872e-8)
+    # -c with an explicit --chi quad, or --chi other than quad without -c, is a usage error
+    for extra in (("--chi", "quad", "-c", "5:2"), ("--chi", "x")):
+        code, out, err = run(capsys, *args, *extra)
+        assert code == EXIT_DOMAIN and out == "" and err.startswith("error:"), extra
+
+
+def test_expand_never_imports_the_oracles():
+    # `expand` must not load the oracle or verify modules (`main` imports
+    # `UncertifiedOracleError` only on an error path for this reason)
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "from siegeleis.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv.split()) for argv in sys.argv[1:]]\n"
+        "print(json.dumps({'codes': codes, 'modules': sorted(sys.modules)}))\n"
+    )
+    src = str(Path(scalars.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "SIEGELEIS_PRECISION"}
+    env["PYTHONPATH"] = src
+    argvs = ["expand -k 4 -c 1:1 --bound 6", "expand -k 5 -c 3:2 --bound 10"]
+    done = subprocess.run([sys.executable, "-c", probe, *argvs], env=env, capture_output=True, text=True,
+                          check=True)
+    report = json.loads(done.stdout)
+    assert report["codes"] == [0, 0]
+    assert "siegeleis.cli" in report["modules"] and "siegeleis.fourier" in report["modules"]
+    assert not {"siegeleis.oracle", "siegeleis.verify"} & set(report["modules"])
+
+
 @pytest.fixture
 def keep_precision(monkeypatch):
     monkeypatch.delenv("SIEGELEIS_PRECISION", raising=False)

@@ -41,7 +41,16 @@ from siegeleis.oracle import (
     similitude,
     sl2_lower_identity,
 )
-from siegeleis.oracle import _f_integrand_value, _mat, _ramanujan, _residue_valuation_counts
+from siegeleis.oracle import (
+    _f_integrand_value,
+    _int_mul,
+    _inv2,
+    _mat,
+    _random_integral_k,
+    _random_p_element,
+    _ramanujan,
+    _residue_valuation_counts,
+)
 from siegeleis.scalars import mp_workdps, to_mpc
 from siegeleis.verify import _good_T, _quadratic_local, run_suite
 
@@ -142,6 +151,112 @@ def test_bootstrap_suite_seeds():
     for seed in range(1, 6):
         ok, lines = run_suite("bootstrap-oracle", seed)
         assert ok, lines
+
+
+def _random_p_element_reference(rng, p):
+    """The Fraction `_random_p_element` that the integer draw replaced."""
+    while True:
+        A = [
+            [
+                Fraction(rng.randint(-9, 9)) * Fraction(p) ** rng.randint(-2, 2)
+                for _ in range(2)
+            ]
+            for _ in range(2)
+        ]
+        det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
+        if det != 0:
+            break
+    u = Fraction(rng.choice([1, -1, 2, 3, 5, 7])) * Fraction(p) ** rng.randint(-2, 2)
+    # A-hat = w A^(-t) w with w = antidiag(1, 1): entries (wMw)_ij = M_(1-i)(1-j)
+    Ainv = _inv2(A)
+    AinvT = [[Ainv[0][0], Ainv[1][0]], [Ainv[0][1], Ainv[1][1]]]
+    Ahat = [[AinvT[1][1], AinvT[1][0]], [AinvT[0][1], AinvT[0][0]]]
+    q = _mat(
+        [
+            [A[0][0], A[0][1], 0, 0],
+            [A[1][0], A[1][1], 0, 0],
+            [0, 0, u * Ahat[0][0], u * Ahat[0][1]],
+            [0, 0, u * Ahat[1][0], u * Ahat[1][1]],
+        ]
+    )
+    # multiply by an upper unipotent inside P
+    x, y, z = (Fraction(rng.randint(-6, 6)) for _ in range(3))
+    q = mat_mul(q, upper_unipotent(x, y, z))
+    v = valuation(det / u, p)
+    return q, v
+
+
+def _random_integral_k_reference(rng, p):
+    """The Fraction `_random_integral_k` that the integer draw replaced."""
+    gens = []
+    for _ in range(rng.randint(4, 10)):
+        c = rng.randrange(6)
+        if c == 0:
+            gens.append(S1)
+        elif c == 1:
+            gens.append(S2)
+        elif c == 2:
+            gens.append(upper_unipotent(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)))
+        elif c == 3:
+            gens.append(lower_unipotent(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)))
+        elif c == 4:
+            a = rng.choice([1, -1, 1 + p, 1 - p])
+            b = rng.choice([1, -1, 1 + p])
+            u = rng.choice([1, -1])
+            gens.append(_mat([[a, 0, 0, 0], [0, b, 0, 0], [0, 0, Fraction(u, b), 0], [0, 0, 0, Fraction(u, a)]]))
+        else:
+            x = rng.choice([1, 2, p - 1, p + 1])
+            gens.append(c0_matrix(x))
+    return mat_mul(*gens)
+
+
+def test_integer_bootstrap_draws_match_fraction_reference():
+    # the same seed draws the same elements: q k as an integer matrix is a
+    # nonzero integer multiple of the Fraction product, with the same v
+    for seed in (1, 2, 3, 4, 5, 1234):
+        for p in (3, 5):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(200):
+                # the rng order of `bootstrap_minor_valuation`: x, then q, then k
+                x = Fraction(ref.randint(1, 50), ref.randint(1, 50)) * Fraction(p) ** ref.randint(-3, 3)
+                assert Fraction(rng.randint(1, 50), rng.randint(1, 50)) * Fraction(p) ** rng.randint(-3, 3) == x
+                q, v_ref = _random_p_element_reference(ref, p)
+                g = mat_mul(q, _random_integral_k_reference(ref, p))
+                Q, v = _random_p_element(rng, p)
+                G = _int_mul(Q, _random_integral_k(rng, p))
+                assert v == v_ref, (seed, p)
+                assert all(type(y) is int for row in G for y in row)
+                c = next(Fraction(y) / z for G_row, g_row in zip(G, g) for y, z in zip(G_row, g_row) if z)
+                assert c != 0 and c.denominator == 1, (seed, p, c)
+                assert G == tuple(tuple(c * z for z in row) for row in g), (seed, p)
+
+
+def _sl2_lower_identity_reference(x):
+    """The Fraction product that the integer `sl2_lower_identity` replaced."""
+    a = ((1, Fraction(1, x)), (0, 1))
+    b = ((Fraction(-1, x), 0), (0, -x))
+    w = ((0, 1), (-1, 0))
+
+    def mul2(u, v):
+        return tuple(
+            tuple(sum(u[i][k] * v[k][j] for k in range(2)) for j in range(2)) for i in range(2)
+        )
+
+    rhs = mul2(mul2(mul2(a, b), w), a)
+    return rhs == ((1, 0), (Fraction(x), 1))
+
+
+def test_sl2_identity_matches_fraction_product():
+    rng = random.Random(8)
+    xs = [7, -3, 1]
+    for _ in range(1000):
+        p = rng.choice([2, 3, 5])
+        num = rng.choice([-1, 1]) * rng.randint(1, 50)
+        xs.append(Fraction(num, rng.randint(1, 50)) * Fraction(p) ** rng.randint(-3, 3))
+    for x in xs:
+        assert sl2_lower_identity(x) is _sl2_lower_identity_reference(x) is True, x
+    with pytest.raises(ValueError):
+        sl2_lower_identity(Fraction(0))
 
 
 def test_paramodular_classifier():
@@ -291,6 +406,43 @@ def test_unramified_exact_vs_closed_form_higher_order():
                             assert formula == unramified_integral_exact(T, p, zeta, s), (p, e, f, L, zeta, s)
                             points += 1
     assert points == 432
+
+
+def test_m_mu_memo_matches_unmemoised(monkeypatch):
+    # every argument tuple of the `unramified` suite and of the higher-order
+    # grid, in call order, against the undecorated function: equal value and
+    # type.  RootU(1/2) equals and hashes like Fraction(-1), so it is called
+    # after the Fraction(-1) tuples are in the memo.
+    from siegeleis import oracle
+
+    memo = oracle._m_mu
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return memo(*args)
+
+    monkeypatch.setattr(oracle, "_m_mu", record)
+    memo.cache_clear()
+    ok, lines = run_suite("unramified")
+    assert ok, lines
+    assert (len(calls), len(set(calls))) == (2464, 248)
+    assert memo.cache_info()[:2] == (2464 - 248, 248)
+    roots = [RootU(Fraction(j, d)) for d in (3, 4, 6) for j in range(1, d) if math.gcd(j, d) == 1]
+    for p in (3, 5):
+        for e in range(3):
+            for f in range(e, 3):
+                for L in (-1, 0, 1):
+                    for zeta in roots:
+                        for s in (4, 5):
+                            unramified_integral_exact(_good_T(p, e, f, L), p, zeta, s)
+    minus_one = [c for c in calls if type(c[4]) is Fraction and c[4] == -1]
+    assert minus_one
+    calls += [c[:4] + (RootU(Fraction(1, 2)),) + c[5:] for c in minus_one]
+    memo.cache_clear()
+    for args in calls:
+        got, want = memo(*args), memo.__wrapped__(*args)
+        assert got == want and type(got) is type(want), args
 
 
 def test_unramified_exact_guards():
@@ -453,12 +605,18 @@ def test_k_oracle_matches_fraction_refinement_higher_order():
     for label, p, nrm, s, j_extra in cases:
         chi = local_component(DirichletCharacter.from_label(label), p)
         _assert_k_oracle_within_reference(HalfIntegralForm(*nrm), chi, s, j_extra)
-    # a class below the support raises in both
+    # a class below the support raises in both; at p | r that takes v(m) < 2 n_p
     chi = local_component(DirichletCharacter.from_label("9:2"), 3)
     with pytest.raises(AssertionError):
-        k_oracle(HalfIntegralForm(1, 1, 81), chi, 4)
+        k_oracle(HalfIntegralForm(1, 3, 9), chi, 4)
+    with pytest.raises(AssertionError):
+        _k_oracle_reference(HalfIntegralForm(1, 3, 9), chi, 4, 1)
     with pytest.raises(AssertionError):
         _k_oracle_reference(HalfIntegralForm(1, 1, 81), chi, 4, 1)
+    # at v(r) = 0 the support lies below j = 1 - n_p, so the oracle refuses
+    # before its walk
+    with pytest.raises(ValueError, match=r"K needs p \| r"):
+        k_oracle(HalfIntegralForm(1, 1, 81), chi, 4)
 
 
 def _v(x, p):
