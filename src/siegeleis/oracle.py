@@ -179,13 +179,23 @@ def mat_transpose(a: Mat) -> Mat:
     return tuple(tuple(a[j][i] for j in range(4)) for i in range(4))
 
 
+def _upper_rows(mu, kappa, lam) -> tuple:
+    """The rows of `upper_unipotent`, as given (integer for integer input)."""
+    return ((1, 0, mu, kappa), (0, 1, lam, mu), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _lower_rows(mu, kappa, lam) -> tuple:
+    """The rows of `lower_unipotent`, as given (integer for integer input)."""
+    return ((1, 0, 0, 0), (0, 1, 0, 0), (mu, kappa, 1, 0), (lam, mu, 0, 1))
+
+
 def upper_unipotent(mu, kappa, lam) -> Mat:
     """The Siegel unipotent with X = [[mu, kappa], [lam, mu]] (w-symmetric)."""
-    return _mat([[1, 0, mu, kappa], [0, 1, lam, mu], [0, 0, 1, 0], [0, 0, 0, 1]])
+    return _mat(_upper_rows(mu, kappa, lam))
 
 
 def lower_unipotent(mu, kappa, lam) -> Mat:
-    return _mat([[1, 0, 0, 0], [0, 1, 0, 0], [mu, kappa, 1, 0], [lam, mu, 0, 1]])
+    return _mat(_lower_rows(mu, kappa, lam))
 
 
 def c0_matrix(x) -> Mat:
@@ -1205,7 +1215,7 @@ def _random_p_element(rng: random.Random, p: int) -> tuple[IntMat, int]:
     )
     # multiply by an upper unipotent inside P
     x, y, z = (rng.randint(-6, 6) for _ in range(3))
-    Q = _int_mul(Q, ((1, 0, x, y), (0, 1, z, x), (0, 0, 1, 0), (0, 0, 0, 1)))
+    Q = _int_mul(Q, _upper_rows(x, y, z))
     return Q, _v(det, p) - _v(u, p) - 2
 
 
@@ -1223,11 +1233,9 @@ def _random_integral_k(rng: random.Random, p: int) -> IntMat:
         elif c == 1:
             gens.append(_S2_INT)
         elif c == 2:
-            mu, kappa, lam = rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)
-            gens.append(((1, 0, mu, kappa), (0, 1, lam, mu), (0, 0, 1, 0), (0, 0, 0, 1)))
+            gens.append(_upper_rows(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)))
         elif c == 3:
-            mu, kappa, lam = rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)
-            gens.append(((1, 0, 0, 0), (0, 1, 0, 0), (mu, kappa, 1, 0), (lam, mu, 0, 1)))
+            gens.append(_lower_rows(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)))
         elif c == 4:
             a = rng.choice([1, -1, 1 + p, 1 - p])
             b = rng.choice([1, -1, 1 + p])
@@ -1235,7 +1243,7 @@ def _random_integral_k(rng: random.Random, p: int) -> IntMat:
             gens.append(((a * a * b, 0, 0, 0), (0, a * b * b, 0, 0), (0, 0, u * a, 0), (0, 0, 0, u * b)))
         else:
             x = rng.choice([1, 2, p - 1, p + 1])
-            gens.append(((1, 0, 0, 0), (0, 1, 0, 0), (x, 0, 1, 0), (0, x, 0, 1)))
+            gens.append(_lower_rows(x, 0, 0))  # c0_matrix(x)
     out = gens[0]
     for g in gens[1:]:
         out = _int_mul(out, g)

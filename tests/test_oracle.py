@@ -81,14 +81,12 @@ def test_spherical_values():
 
 
 def test_spherical_right_invariance():
-    from siegeleis.oracle import _random_integral_k
-
     rng = random.Random(20)
     for p in (3, 5):
         g = mat_mul(mat_mul(S2, S1, S2), upper_unipotent(Fraction(1, p), Fraction(2, p * p), 3))
         base = spherical_weight(g, p)
         for _ in range(20):
-            k = _random_integral_k(rng, p)
+            k = _random_integral_k_reference(rng, p)
             assert spherical_weight(mat_mul(g, k), p) == base
 
 
@@ -127,13 +125,14 @@ def test_mat_mul_matches_fraction_reference():
 
 
 def test_similitude_from_integer_form():
-    from siegeleis.oracle import _random_integral_k, _random_p_element
-
+    # the rational draws, so that g has denominators up to p^2 and beyond
     rng = random.Random(11)
+    fractional = 0
     for p in (3, 5):
         for _ in range(40):
-            q, v = _random_p_element(rng, p)
-            g = mat_mul(q, _random_integral_k(rng, p))
+            q, v = _random_p_element_reference(rng, p)
+            g = mat_mul(q, _random_integral_k_reference(rng, p))
+            fractional += any(x.denominator > 1 for row in g for x in row)
             m = _mat_mul_reference(mat_transpose(g), J1, g)
             lam = m[0][3]
             assert m == tuple(tuple(lam * x for x in row) for row in J1)
@@ -143,6 +142,7 @@ def test_similitude_from_integer_form():
             # not a multiple of J1
             with pytest.raises(ValueError, match="not in the similitude group"):
                 similitude((tuple(2 * x for x in g[0]),) + g[1:])
+    assert fractional >= 40, fractional
     with pytest.raises(ValueError, match="singular"):
         similitude(_mat([[0] * 4] * 4))
 
@@ -224,7 +224,7 @@ def test_integer_bootstrap_draws_match_fraction_reference():
                 g = mat_mul(q, _random_integral_k_reference(ref, p))
                 Q, v = _random_p_element(rng, p)
                 G = _int_mul(Q, _random_integral_k(rng, p))
-                assert v == v_ref, (seed, p)
+                assert v == v_ref == spherical_weight(g, p), (seed, p)
                 assert all(type(y) is int for row in G for y in row)
                 c = next(Fraction(y) / z for G_row, g_row in zip(G, g) for y, z in zip(G_row, g_row) if z)
                 assert c != 0 and c.denominator == 1, (seed, p, c)
@@ -426,8 +426,9 @@ def test_m_mu_memo_matches_unmemoised(monkeypatch):
     memo.cache_clear()
     ok, lines = run_suite("unramified")
     assert ok, lines
-    assert (len(calls), len(set(calls))) == (2464, 248)
-    assert memo.cache_info()[:2] == (2464 - 248, 248)
+    distinct = len(set(calls))
+    assert distinct < len(calls)
+    assert memo.cache_info().misses == distinct
     roots = [RootU(Fraction(j, d)) for d in (3, 4, 6) for j in range(1, d) if math.gcd(j, d) == 1]
     for p in (3, 5):
         for e in range(3):
