@@ -26,11 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-
 from .arith import factorize, fundamental_discriminant, is_prime, valuation
-from .cyclotomic import Cyclotomic, RootU, root_of_unity
-from .scalars import mp_workdps
+from .cyclotomic import Cyclotomic, RootU
 
 __all__ = [
     "DirichletCharacter",
@@ -346,26 +343,6 @@ def gauss_sum(eta) -> Cyclotomic:
     for k, count in counts.items():
         coeffs[k] = count
     return Cyclotomic(n, coeffs)
-
-
-def gauss_sum_numeric(eta):
-    """G(eta) as an mpc at working precision, from Gaussian periods.
-
-    The units a mod N fall into classes by the phase j of eta(a) = e(j/ord);
-    the period P_j sums e(a/N) over the class, and G(eta) = sum_j e(j/ord) P_j.
-    Every root comes from `root_of_unity`, so the e(a/N) are computed once
-    per precision and shared by all characters mod N.
-    """
-    with mp_workdps():
-        if eta.modulus == 1:
-            return mpmath.mpc(1)
-        N, order = eta.modulus, eta.order()
-        periods: dict[int, list] = {}
-        for a in range(1, N):
-            j = eta._phase(a)
-            if j is not None:
-                periods.setdefault(j, []).append(root_of_unity(a, N))
-        return mpmath.fdot((root_of_unity(j, order), mpmath.fsum(terms)) for j, terms in periods.items())
 
 
 @dataclass(frozen=True)

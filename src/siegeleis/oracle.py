@@ -529,8 +529,8 @@ def _ramanujan(p: int, i: int, n: int) -> int:
     return 0
 
 
-def _gauss_product(p: int, n: int, m: int, i: int, l: int) -> Fraction:
-    """G_i(n) G_l(m): product of quadratically twisted sums, rational.
+def _gauss_product(p: int, n: int, m: int, i: int, l: int) -> int:
+    """G_i(n) G_l(m): product of quadratically twisted sums, an integer.
 
     G_i(n) = sum_u leg(u) e(-n u / p^i) vanishes unless i = v(n) + 1, and
     the product of the two surviving Gauss sums is
@@ -539,9 +539,9 @@ def _gauss_product(p: int, n: int, m: int, i: int, l: int) -> Fraction:
     vn = valuation(n, p) if n else None
     vm = valuation(m, p) if m else None
     if vn is None or vm is None or i != vn + 1 or l != vm + 1:
-        return Fraction(0)
+        return 0
     legs = kronecker_symbol(-1, p) * _leg_frac(Fraction(n), p) * _leg_frac(Fraction(m), p)
-    return Fraction(legs * p ** (vn + vm + 1))
+    return legs * p ** (vn + vm + 1)
 
 
 def _geom_sum(t, j0: int):
@@ -624,26 +624,27 @@ def unramified_integral_exact(T: HalfIntegralForm, p: int, chi_at_p, s: int):
     n, m = T.n, T.m
     X = Fraction(1, p**s)
     vn, vm = valuation(n, p), valuation(m, p)
-    total = Fraction(0)
+    # twice the integer weight of each distinct mu-sum, keyed by its arguments
+    weights: dict[tuple, int] = {}
     for i in range(0, vn + 2):
         Ri = _ramanujan(p, i, n)
         for l in range(0, vm + 2):
             Rl = _ramanujan(p, l, m)
+            RR = Ri * Rl
             base = max(i, l)
             if i == 0 or l == 0:
-                if Ri == 0 or Rl == 0:
-                    continue
-                total = total + Ri * Rl * _m_mu(p, base, None, None, chi_at_p, X)
+                key = (base, None, None)
+                weights[key] = weights.get(key, 0) + 2 * RR
                 continue
             GG = _gauss_product(p, n, m, i, l)
-            RR = Fraction(Ri * Rl)
-            if RR == 0 and GG == 0:
-                continue
-            vsum = i + l
-            m_plus = _m_mu(p, base, vsum, +1, chi_at_p, X)
-            m_minus = _m_mu(p, base, vsum, -1, chi_at_p, X)
-            total = total + (RR + GG) / 2 * m_plus + (RR - GG) / 2 * m_minus
-    return total
+            for sq, w in ((+1, RR + GG), (-1, RR - GG)):
+                key = (base, i + l, sq)
+                weights[key] = weights.get(key, 0) + w
+    total = Fraction(0)
+    for key, w in weights.items():
+        if w:
+            total = total + w * _m_mu(p, *key, chi_at_p, X)
+    return total / 2
 
 
 # ---------------------------------------------------------------------------
@@ -761,14 +762,25 @@ def k_oracle(T: HalfIntegralForm, chi: LocalCharacterData, s: int):
     stabilize, or until the class is seen to contribute exactly 0.
 
     The class tree is walked on the integer G(u) = p^(2n_p) F(u) = n
-    p^(2n_p) + r u p^(n_p) + m u^2.  G has integer coefficients, so G(u + h)
-    = G(u) mod p^d for v(h) >= d, and a class of depth d decides v(F) = v(G)
-    - 2n_p exactly when p^d does not divide G(u).  A decided class is a leaf
-    once d >= v(G) + n_p and d >= n_p; the unit class of its argument is
-    then G(u) p^(-v(G)) u^(-1) mod p^(n_p).  Leaves are counted in a
-    histogram keyed by (j, depth, unit class); the character value and the
-    powers of p are applied once per key, so the walk itself is integer
-    arithmetic.
+    p^(2n_p) + r u p^(n_p) + m u^2; write v = v(G(u)) and w = v(G'(u)) =
+    v(r p^(n_p) + 2mu).  G is quadratic with integer coefficients, so
+    exactly G(u + p^d t) - G(u) = p^d t G'(u) + m p^(2d) t^2, of valuation
+    at least min(d + w, 2d + v(m)) for every t in Z_p.  A class u + p^d Z_p
+    is a leaf once
+
+        d >= n_p  and  min(d + w, 2d + v(m)) >= v + n_p:
+
+    then G(x) = G(u) mod p^(v + n_p) on the whole class, so v(G(x)) = v and
+    G(x) p^(-v) = G(u) p^(-v) mod p^(n_p), and d >= n_p fixes x^(-1) mod
+    p^(n_p).  The term j = v - 2n_p and the unit class G(u) p^(-v) u^(-1)
+    mod p^(n_p) of the argument are constant on the class, which adds that
+    term with weight p^(-d).  The former rule, a leaf only once d >= v +
+    n_p, is a special case of this one, as d + w and 2d + v(m) are both at
+    least d; the two give the same sum, and every class inside a leaf keeps
+    its v, so the support bound j >= 1 - n_p is checked on the same values
+    of j.  Leaves are counted in a histogram keyed by (j, depth, unit
+    class); the character value and the powers of p are applied once per
+    key, so the walk itself is integer arithmetic.
 
     An undecided class with w = v(G'(u)) < d <= v(G(u)) - w and
     d + v(m) - w >= n_p holds one root u0 of G (Hensel's lemma), and G(x) =
@@ -777,8 +789,13 @@ def k_oracle(T: HalfIntegralForm, chi: LocalCharacterData, s: int):
     the unit class is t c u^(-1) mod p^(n_p) with c fixed; t runs over the
     units and chi is ramified, so the class adds exactly 0 and is dropped.
     (The conditions force d >= n_p, and p | G(u) forces w >= 1, so every
-    shell has j >= 1 - n_p.)  G has simple roots (discriminant
-    -p^(2n_p) Delta), so the walk ends.
+    shell has j >= 1 - n_p.)  The prune needs d + w <= v and a leaf needs
+    d + w >= v + n_p, so no class meets both rules.  G has simple roots
+    (discriminant -p^(2n_p) Delta), so the walk ends.
+
+    A leaf with j < 1 - n_p lies outside the support of the j-sum: K is not
+    defined there (at p | r this takes v(m) < 2n_p), and the oracle raises
+    ValueError.
 
     Returns (value, 0), the value exact: rational or cyclotomic.
     """
@@ -810,16 +827,17 @@ def k_oracle(T: HalfIntegralForm, chi: LocalCharacterData, s: int):
         u, d = stack.pop()
         g = c0 + c1 * u + m * u * u
         v = _v(g, p)
-        # the unit class of F(u)/u mod p^(n_p) depends on G mod p^(v + n_p)
-        # and on u mod p^(n_p); both are fixed on the class once d reaches them
-        if d >= v + n_p and d >= n_p:
+        w = _v(c1 + 2 * m * u, p)
+        # G is constant mod p^(v + n_p) on the class: j and the unit class of
+        # F(u)/u mod p^(n_p) are fixed, so the class is one leaf
+        if d >= n_p and min(d + w, 2 * d + vm) >= v + n_p:
             j = v - 2 * n_p
             if j < 1 - n_p:
-                raise AssertionError("support violates j >= 1 - n_p")
-            key = (j, d, g // pw[v] * pow(u, -1, mod) % mod)
+                raise ValueError("K needs its j-sum supported on j >= 1 - n_p")
+            key = (j, d, g // p**v * pow(u, -1, mod) % mod)
             leaves[key] = leaves.get(key, 0) + 1
             continue
-        if v >= d and (w := _v(c1 + 2 * m * u, p)) < d <= v - w and d + vm - w >= n_p:
+        if w < d <= v - w and d + vm - w >= n_p:
             continue  # one simple root of G in the class: it adds exactly 0
         if d >= depth_cap:
             raise AssertionError(f"class tree deeper than its bound {depth_cap}")

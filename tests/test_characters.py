@@ -12,7 +12,6 @@ from siegeleis.characters import (
     _gauss_phase_counts,
     characters_mod,
     gauss_sum,
-    gauss_sum_numeric,
     kronecker_character,
     local_component,
     parity,
@@ -20,8 +19,9 @@ from siegeleis.characters import (
     primitive_characters_mod,
     product_with_kronecker,
 )
-from siegeleis.cyclotomic import Cyclotomic, RootU
-from siegeleis.scalars import mp_workdps, to_mpc
+from siegeleis.cyclotomic import Cyclotomic, RootU, root_of_unity
+from siegeleis.scalars import get_precision, mp_workdps, set_precision, to_mpc
+from siegeleis.verify import gauss_sum_numeric
 
 
 def test_evaluate_basic():
@@ -128,6 +128,40 @@ def test_gauss_sum_integer_phases_match_fraction_reference():
                 got, want = gauss_sum(eta), _gauss_sum_reference(eta)
                 assert got == want and (got.n, got.num, got.den) == (want.n, want.num, want.den)
                 assert abs(gauss_sum_numeric(eta) - to_mpc(got)) < tol
+
+
+def _gauss_sum_periods_reference(eta):
+    """The mpmath `fsum`/`fdot` Gaussian periods that gauss_sum_numeric replaced, kept as they were."""
+    with mp_workdps():
+        if eta.modulus == 1:
+            return mpmath.mpc(1)
+        N, order = eta.modulus, eta.order()
+        periods = {}
+        for a in range(1, N):
+            j = eta._phase(a)
+            if j is not None:
+                periods.setdefault(j, []).append(root_of_unity(a, N))
+        return mpmath.fdot((root_of_unity(j, order), mpmath.fsum(terms)) for j, terms in periods.items())
+
+
+def test_gauss_sum_integer_periods_match_mpmath_periods():
+    # every primitive eta with N <= 50, at two working precisions, within
+    # 2^8 units of the last place of the working precision
+    saved = get_precision()
+    try:
+        for bits in (192, 320):
+            set_precision(bits)
+            with mp_workdps() as ctx:
+                tol = mpmath.mpf(2) ** (8 - ctx.prec)
+                count = 0
+                for N in range(1, 51):
+                    for eta in primitive_characters_mod(N):
+                        got, want = gauss_sum_numeric(eta), _gauss_sum_periods_reference(eta)
+                        assert abs(got - want) <= tol, (bits, eta.label)
+                        count += 1
+            assert count == 471
+    finally:
+        set_precision(saved)
 
 
 def test_local_component_values():

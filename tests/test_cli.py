@@ -300,6 +300,23 @@ def test_verify_fast_suites(capsys):
     assert code == 0 and "seed: 99" in out
 
 
+def test_verify_bootstrap_draw_outside_the_group_fails(capsys, monkeypatch):
+    # a draw that is not a similitude is a failed check (exit 1), not a domain error
+    from siegeleis import oracle
+
+    outside = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2))
+    monkeypatch.setattr(oracle, "_random_integral_k", lambda rng, p: outside)
+    code, out, err = run(capsys, "verify", "bootstrap-oracle", "--seed", "99")
+    assert code == 1 and err == ""
+    assert "[FAIL] bootstrap-oracle" in out and "not in the similitude group" in out
+
+
+def test_local_K_below_the_support_is_a_domain_error(capsys):
+    # at p | r with v(m) < 2 n_p the j-sum of K has terms below j = 1 - n_p
+    code, out, err = run(capsys, "local", "K", "-c", "9:2", "-p", "3", "-T", "1,3,3", "-s", "4")
+    assert code == EXIT_DOMAIN and out == "" and "j >= 1 - n_p" in err
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "no-such-suite")
     assert code == EXIT_DOMAIN

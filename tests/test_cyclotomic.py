@@ -122,11 +122,13 @@ def test_power_matches_repeated_multiplication():
 
 def test_root_of_unity_memo_keyed_by_precision():
     # RootU.to_mpc, Cyclotomic.to_mpc and gauss_sum_numeric read their roots
-    # from one memo; after a precision change each must equal the value
-    # computed from an empty memo at the new precision
-    from siegeleis import cyclotomic
-    from siegeleis.characters import DirichletCharacter, gauss_sum_numeric
+    # from one memo (gauss_sum_numeric through its fixed-point memo, keyed on
+    # the precision too); after a precision change each must equal the value
+    # computed from empty memos at the new precision
+    from siegeleis import cyclotomic, verify
+    from siegeleis.characters import DirichletCharacter
     from siegeleis.scalars import get_precision, set_precision
+    from siegeleis.verify import gauss_sum_numeric
 
     root, elem, eta = RootU(Fraction(2, 7)), Cyclotomic(12, [1, -2, 0, 3], 5), DirichletCharacter(13, 2)
 
@@ -141,6 +143,7 @@ def test_root_of_unity_memo_keyed_by_precision():
         set_precision(320)
         high = values()
         cyclotomic._root_of_unity.cache_clear()
+        verify._fixed_root.cache_clear()
         assert high == values()
         with mp_workdps():
             assert high[0] == mpmath.expjpi(2 * mpmath.mpf(2) / 7)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from siegeleis.arith import HalfIntegralForm, fundamental_discriminant, kronecker_symbol, valuation
+from siegeleis.arith import HalfIntegralForm, factorize, fundamental_discriminant, kronecker_symbol, valuation
 from siegeleis.characters import DirichletCharacter, local_component, primitive_characters_mod
 from siegeleis.cyclotomic import RootU
 from siegeleis.localfactors import GoodPlaceInput, K_closed_form, RamifiedPlaceInput, unramified_local_factor
@@ -606,9 +606,10 @@ def test_k_oracle_matches_fraction_refinement_higher_order():
     for label, p, nrm, s, j_extra in cases:
         chi = local_component(DirichletCharacter.from_label(label), p)
         _assert_k_oracle_within_reference(HalfIntegralForm(*nrm), chi, s, j_extra)
-    # a class below the support raises in both; at p | r that takes v(m) < 2 n_p
+    # a class below the support raises in both (the oracle a domain error, the
+    # reference its assertion); at p | r that takes v(m) < 2 n_p
     chi = local_component(DirichletCharacter.from_label("9:2"), 3)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match=r"j >= 1 - n_p"):
         k_oracle(HalfIntegralForm(1, 3, 9), chi, 4)
     with pytest.raises(AssertionError):
         _k_oracle_reference(HalfIntegralForm(1, 3, 9), chi, 4, 1)
@@ -730,6 +731,106 @@ def test_k_oracle_sign_symmetry():
                 plus, _ = k_oracle(T, chi, s)
                 minus, _ = k_oracle(HalfIntegralForm(T.n, -T.r, T.m), chi, s)
                 assert minus == sign * plus, (label, nrm, s)
+
+
+def _k_oracle_walk_reference(T, chi, s):
+    """The integer class walk of `k_oracle` before its early leaves, kept as it was.
+
+    A class is a leaf only once d >= v(G(u)) + n_p and d >= n_p.
+    """
+    p, n_p = chi.p, chi.n_p
+    n, r, m = T.n, T.r, T.m
+    vm = _v(m, p)
+    c0, c1 = n * p ** (2 * n_p), r * p**n_p
+    mod = p**n_p
+    leaves = Counter()
+    stack = [(u, 1) for u in range(1, p)]
+    while stack:
+        u, d = stack.pop()
+        g = c0 + c1 * u + m * u * u
+        v = _v(g, p)
+        if d >= v + n_p and d >= n_p:
+            j = v - 2 * n_p
+            if j < 1 - n_p:
+                raise AssertionError("support violates j >= 1 - n_p")
+            leaves[(j, d, g // p**v * pow(u, -1, mod) % mod)] += 1
+            continue
+        if v >= d and (w := _v(c1 + 2 * m * u, p)) < d <= v - w and d + vm - w >= n_p:
+            continue
+        stack.extend((u + p**d * t, d + 1) for t in range(p))
+    X = Fraction(p) ** (2 - s)
+    total = Fraction(0)
+    for (j, d, unit), count in leaves.items():
+        val = (chi.chi_at_p**j * chi.unit_value(unit)).as_scalar()
+        total = total + val * (count * Fraction(p) ** (-d) * X**j)
+    return total
+
+
+def test_k_oracle_early_leaves_match_the_full_walk():
+    # every primitive eta with N <= 16 (p = 2 with n_p up to 4, orders 4, 6
+    # and 12 among them) at every p | N, on forms with p | r; the last two
+    # forms have v(m) < 2 n_p, where both walks refuse a term below the support
+    checked = refused = 0
+    places = set()
+    for N in range(2, 17):
+        for eta in primitive_characters_mod(N):
+            for p, _ in factorize(N):
+                chi = local_component(eta, p)
+                places.add((p, chi.n_p, eta.order()))
+                q = p ** (2 * chi.n_p)
+                forms = [
+                    (1, 0, q), (1, p, q), (2, -p, 3 * q), (p, 2 * p, p * q), (p * p, p * p, q),
+                    (p, p, p), (1, 0, p),
+                ]
+                for nrm in forms:
+                    T = HalfIntegralForm(*nrm)
+                    for s in (4, 5):
+                        try:
+                            want = _k_oracle_walk_reference(T, chi, s)
+                        except AssertionError:
+                            with pytest.raises(ValueError, match=r"j >= 1 - n_p"):
+                                k_oracle(T, chi, s)
+                            refused += 1
+                            continue
+                        assert k_oracle(T, chi, s) == (want, 0), (eta.label, p, nrm, s)
+                        checked += 1
+    assert (checked, refused) == (480, 192)
+    assert {(2, 2), (2, 3), (2, 4), (3, 2)} <= {(p, n_p) for p, n_p, _ in places}
+    assert {4, 6, 12} <= {order for _, _, order in places}
+
+
+def test_k_oracle_walk_stops_at_depth_n_p_where_G_is_fixed(monkeypatch):
+    # on these forms G(u) is constant mod p^(v(G(u)) + n_p) on every class of
+    # depth n_p (checked by enumeration), so every such class is a leaf and
+    # the walk visits exactly the p^(n_p) - 1 unit classes of depth 1..n_p.
+    # k_oracle takes two valuations per class, plus v(m) and v(Delta).
+    from siegeleis import oracle
+
+    calls = Counter()
+
+    def counting(x, p):
+        calls["v"] += 1
+        return _v(x, p)
+
+    monkeypatch.setattr(oracle, "_v", counting)
+    cases = [
+        ("9:2", 3, (1, 3, 81)), ("25:2", 5, (1, 5, 625)), ("16:3", 2, (1, 2, 256)),
+        ("7:3", 7, (2, 7, 49)), ("8:5", 2, (3, 4, 64)),
+    ]
+    for label, p, (n, r, m) in cases:
+        chi = local_component(DirichletCharacter.from_label(label), p)
+        n_p = chi.n_p
+
+        def G(x):
+            return n * p ** (2 * n_p) + r * x * p**n_p + m * x * x
+
+        for u in range(1, p**n_p):
+            if u % p:
+                top = p ** (_v(G(u), p) + n_p)
+                assert all((G(u + p**n_p * t) - G(u)) % top == 0 for t in range(top // p**n_p)), (label, u)
+        calls.clear()
+        k_oracle(HalfIntegralForm(n, r, m), chi, 5)
+        assert calls["v"] == 2 + 2 * (p**n_p - 1), label
 
 
 def test_volume_counting():
