@@ -21,6 +21,7 @@ product of the others,
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -296,8 +297,21 @@ def characters_mod(N: int) -> list[DirichletCharacter]:
     return [DirichletCharacter(N, j) for j in range(1, max(N, 2)) if math.gcd(j, N) == 1] if N > 1 else [DirichletCharacter(1, 1)]
 
 
+def _primitive_components(p: int, a: int) -> list[_Component]:
+    """The characters of (Z/p^a)^x with conductor exponent a."""
+    exps = itertools.product(*(range(order) for _, _, order in _generators(p, a)))
+    return [comp for comp in (_Component(p, a, e) for e in exps) if comp.conductor_exponent() == a]
+
+
 def primitive_characters_mod(N: int) -> list[DirichletCharacter]:
-    return [chi for chi in characters_mod(N) if chi.is_primitive()]
+    """The primitive characters mod N, in ascending Conrey index.
+
+    A character is primitive exactly when each CRT component at p^a || N has
+    conductor exponent a, so only such components are combined.
+    """
+    local = [_primitive_components(p, a) for p, a in factorize(N)]
+    chars = [DirichletCharacter._from_components(N, list(comps)) for comps in itertools.product(*local)]
+    return sorted(chars, key=lambda chi: chi.index)
 
 
 def parity(eta) -> int:

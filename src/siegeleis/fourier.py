@@ -29,9 +29,14 @@ rational (pi^(1-k) of the rank-2 constant cancels against
 L(k-1, chi_D)).  For N > 1, L(k, eta) at least is numeric; the numeric
 L-values are multiplied in last, and the values are high-precision complex.
 
-`eichler_zagier_coefficient` is an independent level-one comparator built
-from Cohen's H function via generalized Bernoulli numbers: a fully rational
-second route that shares no code with the assembly above.
+`eichler_zagier_coefficient` is a level-one comparator built from Cohen's
+H function: a fully rational second route through divisor sums and
+Cohen's formula instead of local factors and the functional equation.  It
+is not independent of the assembly in its L-values: `cohen_h` here and
+`l_quadratic_exact` in `_rank2` both take B_(n, chi_D) from
+`lvalues.generalized_bernoulli`, so a defect there would pass the
+assembly-vs-comparator tests.  That kernel is guarded on its own by
+`test_generalized_bernoulli_matches_definition`, against a full-range sum.
 """
 
 from __future__ import annotations
@@ -319,7 +324,8 @@ def eichler_zagier_coefficient(T: HalfIntegralForm, k: int) -> Fraction:
     for nonzero psd T with content e and Delta = 4 n m - r^2, where H is
     Cohen's function (H(k-1, 0) = zeta(3-2k) recovers the rank-1 divisor
     sums).  Entirely generalized-Bernoulli arithmetic; no pi, no Hurwitz
-    zeta, independent of the adelic assembly.
+    zeta, no local factors.  B_(k-1, chi_D) comes from the same
+    `generalized_bernoulli` as the assembly's L(k-1, chi_D).
     """
     if k < 4 or k % 2:
         raise ValueError("the comparator needs even k >= 4 (level one)")

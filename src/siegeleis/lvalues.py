@@ -7,8 +7,11 @@ Exact values where the classical formulas give them:
 * L(n, chi_D) for quadratic chi_D with chi_D(-1) = (-1)^n, as a rational
   times pi^n times sqrt(|D|), via the functional equation and generalized
   Bernoulli numbers;
-* Cohen's H(r, N) function, fully rational, used by the independent
-  level-one comparator.
+* Cohen's H(r, N) function, fully rational, used by the level-one
+  comparator.
+
+Both of the last two read B_(n, chi) from `generalized_bernoulli`, one
+integer Horner sum over the residues 0 < a < f/2 (a and f - a pair up).
 
 Everything else is numeric at the configured working precision, through the
 Hurwitz-zeta decomposition L(k, psi) = c^(-k) sum_a psi(a) zeta(k, a/c) for
@@ -42,9 +45,6 @@ __all__ = [
     "l_quadratic_exact",
     "cohen_h",
 ]
-
-
-_HALF = Fraction(1, 2)
 
 
 @lru_cache(maxsize=None)
@@ -92,30 +92,36 @@ def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:
 def generalized_bernoulli(n: int, chi) -> Fraction:
     """B_(n, chi) = f^(n-1) sum_a chi(a) B_n(a/f), for quadratic chi mod f.
 
-    Expanding B_n(a/f) = sum_j C(n, j) B_j (a/f)^(n-j) turns this into
-    sum_j C(n, j) B_j f^(j-1) S_(n-j) with the integer power sums
-    S_i = sum_a chi(a) a^i, all gathered in one pass over a = 1..f.
+    With C(n, j) B_j = c_j / d, f^n d B_n(a/f) is the integer
+    P(a) = sum_j c_j f^j a^(n-j).  For f > 1, B_n(1 - x) = (-1)^n B_n(x)
+    pairs a with f - a: the pair cancels unless chi(-1) = (-1)^n, and then
+    it counts twice, so B_(n, chi) = 2/(d f) sum_(0 < a < f/2) chi(a) P(a).
+    The midpoint a = f/2 is a unit only at f = 2, where it counts once.
+    Each P(a) is taken by Horner's rule in integers, with chi(a) read as a
+    sign from the integer phase.  For f = 1 this is B_n(1).
     """
-    f = max(chi.modulus, 1)
-    sums = [0] * (n + 1)
-    for a in range(1, f + 1):
-        t = chi.exponent(a)
-        if t is None:
+    if not chi.is_quadratic():
+        raise ValueError("generalized Bernoulli numbers are exact only for quadratic characters here")
+    d, coeffs = _bernoulli_polynomial_coefficients(n)
+    f = chi.modulus
+    if f == 1:
+        return Fraction(sum(coeffs), d)
+    if chi._phase(-1) != n % 2:
+        return Fraction(0)
+    scaled = [c * f**j for j, c in enumerate(coeffs)]
+    total = 0
+    for a in range(1, (f + 1) // 2):
+        j = chi._phase(a)
+        if j is None:
             continue
-        if t == 0:
-            sign = 1
-        elif t == _HALF:
-            sign = -1
-        else:
-            raise ValueError("generalized Bernoulli numbers are exact only for quadratic characters here")
-        power = sign
-        for i in range(n + 1):
-            sums[i] += power
-            power *= a
-    total = Fraction(0)
-    for j in range(n + 1):
-        total += math.comb(n, j) * bernoulli(j) * Fraction(f) ** (j - 1) * sums[n - j]
-    return total
+        num = 0
+        for c in scaled:
+            num = num * a + c
+        total += -num if j else num
+    total *= 2
+    if f == 2:
+        total += sum(scaled)
+    return Fraction(total, d * f)
 
 
 def zeta(k: int):

@@ -529,19 +529,15 @@ def _ramanujan(p: int, i: int, n: int) -> int:
     return 0
 
 
-def _gauss_product(p: int, n: int, m: int, i: int, l: int) -> int:
-    """G_i(n) G_l(m): product of quadratically twisted sums, an integer.
+def _gauss_product(p: int, n: int, m: int) -> int:
+    """G_i(n) G_l(m) at (i, l) = (v(n) + 1, v(m) + 1), an integer; n, m != 0.
 
-    G_i(n) = sum_u leg(u) e(-n u / p^i) vanishes unless i = v(n) + 1, and
-    the product of the two surviving Gauss sums is
+    G_i(n) = sum_u leg(u) e(-n u / p^i) vanishes unless i = v(n) + 1, so
+    this is the only nonzero product of two quadratically twisted sums:
     p^(v(n)+v(m)+1) leg(-1) leg(n') leg(m').
     """
-    vn = valuation(n, p) if n else None
-    vm = valuation(m, p) if m else None
-    if vn is None or vm is None or i != vn + 1 or l != vm + 1:
-        return 0
     legs = kronecker_symbol(-1, p) * _leg_frac(Fraction(n), p) * _leg_frac(Fraction(m), p)
-    return legs * p ** (vn + vm + 1)
+    return legs * p ** (valuation(n, p) + valuation(m, p) + 1)
 
 
 def _geom_sum(t, j0: int):
@@ -624,6 +620,8 @@ def unramified_integral_exact(T: HalfIntegralForm, p: int, chi_at_p, s: int):
     n, m = T.n, T.m
     X = Fraction(1, p**s)
     vn, vm = valuation(n, p), valuation(m, p)
+    # G_i(n) G_l(m) is nonzero only at (i, l) = (vn + 1, vm + 1)
+    top = _gauss_product(p, n, m)
     # twice the integer weight of each distinct mu-sum, keyed by its arguments
     weights: dict[tuple, int] = {}
     for i in range(0, vn + 2):
@@ -636,7 +634,7 @@ def unramified_integral_exact(T: HalfIntegralForm, p: int, chi_at_p, s: int):
                 key = (base, None, None)
                 weights[key] = weights.get(key, 0) + 2 * RR
                 continue
-            GG = _gauss_product(p, n, m, i, l)
+            GG = top if (i, l) == (vn + 1, vm + 1) else 0
             for sq, w in ((+1, RR + GG), (-1, RR - GG)):
                 key = (base, i + l, sq)
                 weights[key] = weights.get(key, 0) + w

@@ -75,6 +75,16 @@ def test_conductor_by_restriction():
             assert eta.conductor() == _brute_conductor(eta)
 
 
+def test_primitive_characters_match_filtered_characters():
+    # built from primitive CRT components: the same labels, in the same
+    # ascending Conrey order, as filtering every character mod N
+    for N in range(1, 301):
+        want = [chi.label for chi in characters_mod(N) if chi.is_primitive()]
+        assert [chi.label for chi in primitive_characters_mod(N)] == want, N
+        if N % 4 == 2:
+            assert want == []
+
+
 def test_parity():
     assert parity(DirichletCharacter(1, 1)) == 0
     assert parity(DirichletCharacter(4, 3)) == 1

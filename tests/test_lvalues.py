@@ -114,33 +114,67 @@ def test_bernoulli_polynomial_matches_sum():
             assert bernoulli_polynomial(n, x) == want
 
 
+def _signed_units(chi):
+    """(a, chi(a)) for the units a = 1..f of a quadratic chi mod f."""
+    exponents = ((a, chi.exponent(a)) for a in range(1, chi.modulus + 1))
+    return [(a, 1 if t == 0 else -1) for a, t in exponents if t is not None]
+
+
+def _bernoulli_reference(n, f, points):
+    """B_(n, chi) = f^(n-1) sum_a chi(a) B_n(a/f), residue by residue.
+
+    With C(n, j) B_j = c_j / d, B_n(a/f) = sum_j c_j f^j a^(n-j) / (d f^n);
+    its integer numerator is taken by Horner's rule in a, so the sum over
+    the units a = 1..f (`points`, from `_signed_units`) is exact in integers
+    and B_(n, chi) = (sum of chi(a) times numerator) / (d f).
+    """
+    coeffs = [math.comb(n, j) * bernoulli(j) for j in range(n + 1)]
+    d = math.lcm(*(c.denominator for c in coeffs))
+    scaled = [int(c * d) * f**j for j, c in enumerate(coeffs)]
+    total = 0
+    for a, sign in points:
+        num = 0
+        for c in scaled:
+            num = num * a + c
+        total += sign * num
+    return Fraction(total, d * f)
+
+
+def _fundamental_discriminants(low, high):
+    """The fundamental D with low < |D| <= high, and D = 1 when low = 0."""
+    return [
+        D
+        for D in range(-high, high + 1)
+        if low < abs(D) and D % 4 in (0, 1) and fundamental_discriminant(D).f == 1
+    ]
+
+
 def test_generalized_bernoulli_matches_definition():
-    # B_(n, chi) = f^(n-1) sum_a chi(a) B_n(a/f), evaluated here residue by
-    # residue, for D = 1 and every fundamental |D| <= 400.  With C(n, j) B_j
-    # = c_j / d, B_n(a/f) = sum_j c_j f^j a^(n-j) / (d f^n); its integer
-    # numerator is taken by Horner's rule in a, so the sum over a is exact
-    # in integers and B_(n, chi) = (sum of chi(a) times numerator) / (d f).
-    fundamental = [D for D in range(-400, 401) if D % 4 in (0, 1) and D and fundamental_discriminant(D).f == 1]
-    bernoulli_coeffs = {}
-    for n in range(1, 13):
-        coeffs = [math.comb(n, j) * bernoulli(j) for j in range(n + 1)]
-        d = math.lcm(*(c.denominator for c in coeffs))
-        bernoulli_coeffs[n] = d, [int(c * d) for c in coeffs]
-    for D in fundamental:
+    # the full-range sum of `_bernoulli_reference`, for D = 1 and every
+    # fundamental |D| <= 400, n = 1..12
+    for D in _fundamental_discriminants(0, 400):
         chi = kronecker_character(D)
-        f = abs(D)
-        points = [(a, 1 if chi.exponent(a) == 0 else -1) for a in range(1, f + 1) if chi.exponent(a) is not None]
-        for n, (d, coeffs) in bernoulli_coeffs.items():
-            scaled = [c * f**j for j, c in enumerate(coeffs)]
-            total = 0
-            for a, sign in points:
-                num = 0
-                for c in scaled:
-                    num = num * a + c
-                total += sign * num
-            assert generalized_bernoulli(n, chi) == Fraction(total, d * f), (D, n)
+        points = _signed_units(chi)
+        for n in range(1, 13):
+            assert generalized_bernoulli(n, chi) == _bernoulli_reference(n, chi.modulus, points), (D, n)
     with pytest.raises(ValueError):
         generalized_bernoulli(3, DirichletCharacter(7, 3))
+
+
+def test_generalized_bernoulli_half_range_matches_full_range():
+    # The half-range sum pairs a with f - a.  Checked against the full-range
+    # reference on larger fundamental |D| (n = 3, 5 meets both parities of
+    # chi_D), at f = 2, whose midpoint a = 1 is a unit, and on an
+    # imprimitive trivial character at both parities.
+    for D in _fundamental_discriminants(400, 2000):
+        chi = kronecker_character(D)
+        points = _signed_units(chi)
+        for n in (3, 5):
+            assert generalized_bernoulli(n, chi) == _bernoulli_reference(n, chi.modulus, points), (D, n)
+    for chi in (DirichletCharacter(2, 1), DirichletCharacter(15, 1)):
+        points = _signed_units(chi)
+        for n in range(1, 13):
+            assert generalized_bernoulli(n, chi) == _bernoulli_reference(n, chi.modulus, points), (chi, n)
 
 
 def test_dirichlet_l_cache_keyed_by_precision():
