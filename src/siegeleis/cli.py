@@ -2,16 +2,18 @@
 
 Subcommands: `coeff` (one Fourier coefficient), `expand` (all coefficients
 up to a trace bound), `local` (closed-form local quantities, optionally next
-to their oracle values), `verify` (the named acceptance suites).
+to their oracle values), `verify` (the named acceptance suites).  At each
+place p | N, `coeff` and `expand` take K from the closed-form table where it
+has a row and from its exact defining sum elsewhere; each record's notes
+name the route.
 
 Output is one record per line, JSONL by default or CSV, with stable field
 names {n, r, m, value, mode, notes}.  Exact rationals are printed as
 "num/den" strings, never as floats; numeric values as a "re,im" decimal
 pair at the stated precision.
 
-Exit codes: 0 success, 2 domain error, 3 unsupported place (no closed form
-for K and the oracle disabled), 4 uncertified oracle (`local volume` at a
-residue depth too small to decide).
+Exit codes: 0 success, 1 a failed `verify` suite, 2 domain error, 4
+uncertified oracle (`local volume` at a residue depth too small to decide).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .characters import DirichletCharacter, power_character, product_with_kronec
 from .fourier import (
     CoefficientRecord,
     EisensteinSpec,
-    UnsupportedPlaceError,
     _spec_invariants,
     coefficient,
     expand,
@@ -41,7 +42,6 @@ from .scalars import get_precision, precision_from_env, set_precision
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
-EXIT_UNSUPPORTED_PLACE = 3
 EXIT_UNCERTIFIED = 4
 
 # the memos of the expand path that `expand --stats` reports
@@ -101,7 +101,7 @@ def _header(spec: EisensteinSpec) -> dict:
 def cmd_coeff(args) -> int:
     spec = _spec_from(args)
     T = HalfIntegralForm(args.n, args.r, args.m)
-    rec = coefficient(spec, T, oracle_policy=args.oracle)
+    rec = coefficient(spec, T)
     _emit([_record_fields(rec)], args.format)
     return EXIT_OK
 
@@ -127,12 +127,7 @@ def _stats(recs: list[CoefficientRecord], before: dict) -> dict:
 def cmd_expand(args) -> int:
     spec = _spec_from(args)
     before = _memo_hits_misses()
-    recs = expand(
-        spec,
-        args.bound,
-        suppress_zero=not args.include_zero,
-        oracle_policy=args.oracle,
-    )
+    recs = expand(spec, args.bound, suppress_zero=not args.include_zero)
     _emit([_record_fields(r) for r in recs], args.format, header=_header(spec))
     if args.stats:
         print(json.dumps({"stats": _stats(recs, before)}, sort_keys=True), file=sys.stderr)
@@ -148,12 +143,12 @@ def _parse_T(text: str) -> HalfIntegralForm:
 
 
 def cmd_local(args) -> int:
-    from .arith import valuation
     from .characters import local_component
     from .localfactors import (
         GoodPlaceInput,
         K_closed_form,
         RamifiedPlaceInput,
+        ramified_K,
         ramified_local_factor,
         unramified_local_factor,
     )
@@ -174,15 +169,11 @@ def cmd_local(args) -> int:
         print(json.dumps({"which": "volume", "value": str(val)}))
         return EXIT_OK
     if args.character is not None:
-        if args.chi == "quad":
-            raise ValueError("-c selects the character; it cannot be combined with --chi quad")
         chi = local_component(DirichletCharacter.from_label(args.character), args.p)
-    elif args.chi in (None, "quad"):
-        if args.p == 2 or not is_prime(args.p):
-            raise ValueError(f"--chi quad needs an odd prime, not -p {args.p}")
-        chi = _quadratic_local(args.p, args.chip)
+    elif args.p == 2 or not is_prime(args.p):
+        raise ValueError(f"the quadratic character (no -c) needs an odd prime, not -p {args.p}")
     else:
-        raise ValueError(f"--chi {args.chi} needs a character label -c N:index")
+        chi = _quadratic_local(args.p, args.chip)
     T = _parse_T(args.T)
     if args.which == "K":
         res = K_closed_form(RamifiedPlaceInput(args.p, chi, T, args.s))
@@ -196,15 +187,9 @@ def cmd_local(args) -> int:
         }
         print(json.dumps(row))
         return EXIT_OK
-    # ramified: closed form and oracle
+    # ramified: closed form, with K as the a(T) assembly reads it, and oracle
     place = RamifiedPlaceInput(args.p, chi, T, args.s)
-    K = None
-    # the factor reads K only at p | r (as in `fourier._rank2`), and not where
-    # v(m) < 2 n_p makes it 0
-    if T.r % args.p == 0 and (T.m == 0 or valuation(T.m, args.p) >= 2 * chi.n_p):
-        res = K_closed_form(place)
-        K = res.value if res.available else k_oracle(T, chi, args.s)[0]
-    closed = ramified_local_factor(place, K)
+    closed = ramified_local_factor(place, ramified_K(place)[0])
     oracle_val, tail = ramified_integral_exact(T, chi, args.s)
     diff = abs(to_mpc(closed) - oracle_val)
     print(
@@ -239,12 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--precision", type=int, default=None, help="working precision in bits")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, with_oracle=True):
+    def common(sp):
         sp.add_argument("-k", "--weight", type=int, required=True)
         sp.add_argument("-c", "--character", required=True, help="character label N:index")
         sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-        if with_oracle:
-            sp.add_argument("--oracle", choices=("forbid", "allow", "force"), default="forbid")
 
     sp = sub.add_parser("coeff", help="one Fourier coefficient a(T)")
     common(sp)
@@ -264,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.set_defaults(fn=cmd_expand)
 
-    sp = sub.add_parser("local", help="local factors, closed form vs oracle")
+    # no abbreviations: a removed option must not be read as a prefix of another
+    sp = sub.add_parser("local", help="local factors, closed form vs oracle", allow_abbrev=False)
     sp.add_argument("which", choices=("unramified", "ramified", "K", "volume"))
     sp.add_argument("-p", type=int, required=True)
     sp.add_argument("-s", type=int, default=4)
@@ -274,16 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-L", type=int, default=1, choices=(-1, 0, 1))
     sp.add_argument("--chip", type=int, default=1, choices=(1, -1), help="chi_p(p)")
     sp.add_argument(
-        "--chi",
-        default=None,
-        help="'quad' (the default without -c): the ramified quadratic character at an odd "
-        "prime p, with chi_p(p) from --chip; any other value needs -c",
-    )
-    sp.add_argument(
         "-c",
         "--character",
         default=None,
-        help="character label N:index; its local component at p (not with --chi quad)",
+        help="character label N:index; its local component at p (without -c: the ramified "
+        "quadratic character at an odd prime p, with chi_p(p) from --chip)",
     )
     sp.add_argument("-i", type=int, default=0)
     sp.add_argument("-j", type=int, default=0)
@@ -306,9 +285,6 @@ def main(argv=None) -> int:
         if bits is not None:
             set_precision(bits)
         return args.fn(args)
-    except UnsupportedPlaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED_PLACE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -10,7 +10,8 @@ rank 1:  (-2 pi i)^k / (k-1)! times the twisted divisor sum over the content
          r_N = (2m)_N / N, with the extra factor eta(r_Nhat) / eta(2_Nhat);
 rank 2:  archimedean prefactor (4 pi)^(2k-1) det(T)^(k-3/2) / (2 (2k-2)!)
          times the ramified local factor I_p(T) of `ramified_local_factor`
-         at each p | N (with K(k, T, chi_p) where p | r) times
+         at each p | N (with K(k, T, chi_p) where p | r, from
+         `ramified_K`) times
          f_Nhat^(3-2k) eta(f_Nhat^2) H~(e_Nhat, f_Nhat) times
          L(k-1, chi_D eta) / (L(k, eta) L(2k-2, eta^2)).  The epsilon
          factors inside the I_p multiply to (-1)^k G(eta) / sqrt(N), so no
@@ -65,7 +66,7 @@ from .characters import (
     product_with_kronecker,
 )
 from .cyclotomic import RootU
-from .localfactors import K_closed_form, RamifiedPlaceInput, h_tilde, ramified_local_factor
+from .localfactors import RamifiedPlaceInput, h_tilde, ramified_K, ramified_local_factor
 from .lvalues import bernoulli, cohen_h, dirichlet_l, l_quadratic_exact
 from .scalars import Exact, get_precision, mp_workdps, to_mpc
 
@@ -81,13 +82,13 @@ __all__ = [
 
 
 class UnsupportedPlaceError(Exception):
-    """No closed form for K at this prime and the oracle is disabled."""
+    """Under oracle_policy "forbid": K at this prime has no closed form."""
 
     def __init__(self, p: int):
         self.p = p
         super().__init__(
-            f"K(s, T, chi_{p}) has no implemented closed form (p = 2 or chi_{p} "
-            f"not quadratic); rerun with the oracle enabled"
+            f"K(s, T, chi_{p}) has no closed form (p = 2 or chi_{p} not quadratic) "
+            f"and oracle_policy 'forbid' refuses its defining sum"
         )
 
 
@@ -189,14 +190,18 @@ def _spec_invariants(spec: EisensteinSpec, bits: int) -> _SpecContext:
     return _SpecContext(spec)
 
 
-def coefficient(spec: EisensteinSpec, T: HalfIntegralForm, oracle_policy: str = "forbid") -> CoefficientRecord:
+def coefficient(spec: EisensteinSpec, T: HalfIntegralForm, oracle_policy: str = "allow") -> CoefficientRecord:
     """The Fourier coefficient a(T), exact for N = 1, numeric for N > 1.
 
-    oracle_policy governs places p | N where K has no closed form:
-    "forbid" raises UnsupportedPlaceError, "allow" falls back to the exact
-    defining-sum oracle, "force" uses the oracle even where the closed form
-    exists (for cross-checking).  An exact K = 0 from either gives a zero record.
+    At each place p | N with p | r, K is taken by `ramified_K`: from the
+    closed-form table where it has a row, from the exact defining sum
+    elsewhere; the record's notes name the route per place.  An exact K = 0
+    from either gives a zero record.  oracle_policy "forbid" raises
+    UnsupportedPlaceError at a place whose K only the defining sum gives;
+    the default "allow" takes it.
     """
+    if oracle_policy not in ("allow", "forbid"):
+        raise ValueError(f"oracle_policy must be 'allow' or 'forbid', not {oracle_policy!r}")
     N = spec.N
     zero = CoefficientRecord(T, Fraction(0), "zero")
     if not T.is_positive_semidefinite():
@@ -260,21 +265,12 @@ def _rank2(spec: EisensteinSpec, context: _SpecContext, T: HalfIntegralForm, ora
     notes = []
     for p, chi_p in context.places:
         place = RamifiedPlaceInput(p, chi_p, T, k)
-        if T.r % p:
-            K_val, note = None, f"p={p}:unit"
-        else:
-            res = K_closed_form(place)
-            if res.provenance == "needs-oracle" or oracle_policy == "force":
-                if oracle_policy == "forbid":
-                    raise UnsupportedPlaceError(p)
-                from .oracle import k_oracle
-
-                K_val, note = k_oracle(T, chi_p, k)[0], f"p={p}:K-oracle(exact)"
-            else:
-                K_val, note = res.value, f"p={p}:K-closed-form"
-            if K_val == 0:
-                # exactly 0, but numeric like every other rank-2 value at N > 1: prints 0.0,0.0
-                return CoefficientRecord(T, mpmath.mpc(0), "zero", [note])
+        K_val, note = ramified_K(place)
+        if oracle_policy == "forbid" and note.endswith("K-oracle(exact)"):
+            raise UnsupportedPlaceError(p)
+        if K_val == 0:
+            # exactly 0, but numeric like every other rank-2 value at N > 1: prints 0.0,0.0
+            return CoefficientRecord(T, mpmath.mpc(0), "zero", [note])
         val *= ramified_local_factor(place, K_val)
         notes.append(note)
     e_hat = split_by_level(content(T), N).r_Nhat
@@ -284,12 +280,7 @@ def _rank2(spec: EisensteinSpec, context: _SpecContext, T: HalfIntegralForm, ora
     return _record(T, val, context.rank2, notes, L_D)
 
 
-def expand(
-    spec: EisensteinSpec,
-    trace_bound: int,
-    suppress_zero: bool = True,
-    oracle_policy: str = "forbid",
-) -> list[CoefficientRecord]:
+def expand(spec: EisensteinSpec, trace_bound: int, suppress_zero: bool = True) -> list[CoefficientRecord]:
     """All coefficients with T positive semidefinite, N^2 | m, n + m <= bound.
 
     Deterministic order by (n + m, n, r).
@@ -306,7 +297,7 @@ def expand(
             rbound = math.isqrt(4 * n * m)
             for r in range(-rbound, rbound + 1):
                 forms.append(HalfIntegralForm(n, r, m))
-    records = [coefficient(spec, T, oracle_policy) for T in forms]
+    records = [coefficient(spec, T) for T in forms]
     records.sort(key=lambda rec: (rec.T.n + rec.T.m, rec.T.n, rec.T.r))
     if suppress_zero:
         records = [rec for rec in records if not rec.is_zero()]

@@ -6,7 +6,9 @@
   product over the p | f prime to the level;
 * the table of K(s, T, chi) for odd p and quadratic chi, with its elliptic
   curve point counts a_p and a~_p;
-* the ramified local integral assembled from an epsilon factor and K;
+* the ramified local integral assembled from an epsilon factor and K, and
+  the one rule for the K it reads: the table where it has a row, the
+  exact defining sum of `oracle.k_oracle` elsewhere;
 * epsilon factors as normalized Gauss sums G(eta_p) of the CRT component.
 
 Conventions.  The additive character of Q_p with conductor Z_p used
@@ -29,18 +31,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
-
 from .arith import (
     HalfIntegralForm,
     factorize,
     fundamental_discriminant,
+    is_prime,
     kronecker_symbol,
     valuation,
 )
 from .characters import LocalCharacterData, gauss_sum
 from .cyclotomic import RootU
-from .scalars import mp_workdps, to_mpc
 
 __all__ = [
     "GoodPlaceInput",
@@ -52,8 +52,8 @@ __all__ = [
     "curve_count_ap_naive",
     "curve_count_ap_tilde",
     "K_closed_form",
+    "ramified_K",
     "ramified_local_factor",
-    "epsilon_factor",
     "epsilon_exact_parts",
 ]
 
@@ -130,10 +130,19 @@ class GoodPlaceInput:
     s: int
 
     def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"p must be prime, not {self.p}")
         if self.L not in (-1, 0, 1):
             raise ValueError("L must be -1, 0 or 1")
         if not 0 <= self.e_p <= self.f_p:
             raise ValueError("need 0 <= e_p <= f_p")
+        if _euler_denominator(self) == 0:
+            raise ValueError(f"pole of the local factor: 1 - L chi_p(p) p^(1-s) = 0 at s = {self.s}")
+
+
+def _euler_denominator(inp: GoodPlaceInput):
+    """1 - L chi_p(p) p^(1-s), the denominator of the Euler part."""
+    return 1 - inp.L * _zeta_pow(inp.chi_at_p, 1) * Fraction(inp.p) ** (1 - inp.s)
 
 
 def unramified_local_factor(inp: GoodPlaceInput):
@@ -149,8 +158,7 @@ def unramified_local_factor(inp: GoodPlaceInput):
 
     P = Fraction(p)
     num = (1 - zp(1) * P**-s) * (1 - zp(2) * P ** (2 - 2 * s))
-    den = 1 - L * zp(1) * P ** (1 - s)
-    pref = num / den
+    pref = num / _euler_denominator(inp)
     scale = zp(2 * f) * P ** (f * (3 - 2 * s))
     return pref * scale * _good_place_sum(p, inp.chi_at_p, L, inp.e_p, f, s)
 
@@ -206,7 +214,7 @@ class RamifiedPlaceInput:
 @dataclass(frozen=True)
 class LocalFactorResult:
     value: object
-    provenance: str  # "closed-form" | "needs-oracle" | "oracle"
+    provenance: str  # "closed-form" | "needs-oracle"
 
     @property
     def available(self) -> bool:
@@ -302,11 +310,27 @@ def epsilon_exact_parts(chi: LocalCharacterData):
     return part, chi.n_p
 
 
-def epsilon_factor(chi: LocalCharacterData) -> mpmath.mpc:
-    """Numeric epsilon(1/2, chi_p, psi_p); |epsilon| = 1 for primitive data."""
-    part, n_p = epsilon_exact_parts(chi)
-    with mp_workdps():
-        return to_mpc(part) / mpmath.sqrt(chi.p) ** n_p
+def ramified_K(inp: RamifiedPlaceInput) -> tuple[object, str]:
+    """The K that `ramified_local_factor` reads at this place, and its place note.
+
+    The factor reads K only where p | r and v(m) >= 2 n_p; elsewhere K is
+    None, noted "unit" at p not dividing r and "zero" where v(m) < 2 n_p
+    makes the factor 0.  K comes from the table of `K_closed_form` where it
+    has a row ("K-closed-form"), and from the exact defining sum
+    `oracle.k_oracle` everywhere else ("K-oracle(exact)").  Both routes are
+    exact and agree wherever the table has a row.
+    """
+    p, T = inp.p, inp.T
+    if T.r % p:
+        return None, f"p={p}:unit"
+    if T.m and valuation(T.m, p) < 2 * inp.chi.n_p:
+        return None, f"p={p}:zero"
+    res = K_closed_form(inp)
+    if res.available:
+        return res.value, f"p={p}:K-closed-form"
+    from .oracle import k_oracle  # imported here: expand at 1:1 or 3:2 never loads the oracles
+
+    return k_oracle(T, inp.chi, inp.s)[0], f"p={p}:K-oracle(exact)"
 
 
 def ramified_local_factor(inp: RamifiedPlaceInput, K_value):
@@ -319,7 +343,7 @@ def ramified_local_factor(inp: RamifiedPlaceInput, K_value):
     The half-integral power of p combines with the epsilon factor into
     p^(n_p(2-2s)) times an exact cyclotomic, so the result is exact whenever
     K is.  `fourier` assembles a(T) at level N > 1 from these factors, one
-    per p | N, with K from `K_closed_form` or the oracle.
+    per p | N, with K from `ramified_K`.
     """
     p, chi, T, s = inp.p, inp.chi, inp.T, inp.s
     n_p = chi.n_p

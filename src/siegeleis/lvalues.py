@@ -40,7 +40,6 @@ __all__ = [
     "bernoulli_polynomial",
     "generalized_bernoulli",
     "zeta",
-    "zeta_series_tail_bound",
     "dirichlet_l",
     "l_quadratic_exact",
     "cohen_h",
@@ -134,20 +133,6 @@ def zeta(k: int):
         return Exact(q, k)
     with mp_workdps():
         return mpmath.zeta(k)
-
-
-def zeta_series_tail_bound(k: int, terms: int) -> tuple[mpmath.mpf, Fraction]:
-    """Plain partial sum of zeta(k) with its integral tail bound.
-
-    The truncation after n = terms contributes less than terms^(1-k)/(k-1);
-    this is the documented bound, enforced as a property of the series path.
-    """
-    if k <= 1 or terms < 1:
-        raise ValueError("need k >= 2 and at least one term")
-    with mp_workdps():
-        partial = mpmath.fsum(mpmath.mpf(1) / mpmath.mpf(n) ** k for n in range(1, terms + 1))
-    bound = Fraction(1, (k - 1)) * Fraction(1, terms ** (k - 1))
-    return partial, bound
 
 
 _L_VALUES: dict[tuple, object] = {}

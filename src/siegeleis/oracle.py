@@ -54,7 +54,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .arith import HalfIntegralForm, kronecker_symbol, valuation
+from .arith import HalfIntegralForm, is_prime, kronecker_symbol, valuation
 from .characters import LocalCharacterData
 from .cyclotomic import RootU
 from .scalars import mp_workdps, to_mpc
@@ -973,6 +973,10 @@ def volume_R(i: int, j: int, T: HalfIntegralForm, p: int, B: int) -> Fraction:
     Exact rational volume by counting unit residues mod p^B.  Raises if the
     depth cannot decide membership; B > i + 2|j| + v_p(Delta) suffices.
     """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, not {p}")
+    if B < 1:
+        raise ValueError(f"the residue depth B must be at least 1, not {B}")
     counts, undecided, horizon = _residue_valuation_counts((T.n, T.r, T.m), j, p, B)
     if undecided and i > horizon:
         raise UncertifiedOracleError(f"depth B={B} cannot decide v >= {i} at j={j}")

@@ -100,10 +100,6 @@ class Exact:
         return Exact(Fraction(q))
 
     @staticmethod
-    def pi(power: int = 1) -> "Exact":
-        return Exact(Fraction(1), power)
-
-    @staticmethod
     def sqrt(n: int) -> "Exact":
         if n <= 0:
             raise ValueError("sqrt tag must be positive")
@@ -132,24 +128,6 @@ class Exact:
             inv = Exact(1 / (other.q * other.root), -other.pi_pow, other.root)
             return self * inv
         return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Exact.of(other)
-        if isinstance(other, Exact):
-            if self.q == 0:
-                return other
-            if other.q == 0:
-                return self
-            if (self.pi_pow, self.root) != (other.pi_pow, other.root):
-                raise ValueError("incompatible exact tags; use numerics instead")
-            return Exact(self.q + other.q, self.pi_pow, self.root)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Exact(-self.q, self.pi_pow, self.root)
 
     def is_rational(self) -> bool:
         q_rational = not isinstance(self.q, Cyclotomic) or self.q.is_rational()

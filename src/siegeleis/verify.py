@@ -66,6 +66,14 @@ def _quadratic_local(p: int, chi_at_p: int = 1) -> LocalCharacterData:
     return LocalCharacterData(p, 1, RootU(0 if chi_at_p == 1 else Fraction(1, 2)), legendre)
 
 
+def _within_budget(elapsed: float, budget: float, lines: list) -> bool:
+    """Whether a suite ran in under `budget` seconds; a line says so when it did not."""
+    if elapsed < budget:
+        return True
+    lines.append(f"  over the time budget: {elapsed:.2f}s, budget {budget:g}s")
+    return False
+
+
 def suite_n1_classical(seed: int = 0):
     """a(n,0,0) = 240 sigma_3(n) for k = 4, N = 1, 1 <= n <= 10, exactly."""
     t0 = time.perf_counter()
@@ -80,7 +88,7 @@ def suite_n1_classical(seed: int = 0):
             lines.append(f"  n={n}: got {got}, want {want}")
     elapsed = time.perf_counter() - t0
     lines.append(f"classical rank-1 values, n = 1..10, exact ({elapsed:.3f}s)")
-    return ok and elapsed < 1.0, lines
+    return _within_budget(elapsed, 1.0, lines) and ok, lines
 
 
 def suite_eichler_zagier(seed: int = 0):
@@ -110,7 +118,7 @@ def suite_eichler_zagier(seed: int = 0):
                         lines.append(f"  k={k} T={T}: assembly {lhs} != comparator {rhs}")
     elapsed = time.perf_counter() - t0
     lines.append(f"Eichler-Zagier reduction: {checked} forms, exact equality ({elapsed:.1f}s)")
-    return ok and elapsed < 60.0, lines
+    return _within_budget(elapsed, 60.0, lines) and ok, lines
 
 
 def _good_T(p: int, e: int, f: int, L: int) -> HalfIntegralForm:
@@ -165,7 +173,7 @@ def suite_unramified(seed: int = 0):
         f"unramified local formula: {checked} parameter points, exact agreement "
         f"(oracle tail = 0 < p^-10) ({elapsed:.1f}s)"
     )
-    return ok and elapsed < 600.0, lines
+    return _within_budget(elapsed, 600.0, lines) and ok, lines
 
 
 def suite_volumes(seed: int = 0):
@@ -412,7 +420,7 @@ def suite_support(seed: int = 0):
                 T = HalfIntegralForm(n, r, m)
                 if T.is_positive_semidefinite() and T.m % 9 == 0:
                     continue  # inside the support; nothing claimed
-                rec = coefficient(spec, T, oracle_policy="allow")
+                rec = coefficient(spec, T)
                 checked += 1
                 if not rec.is_zero():
                     ok = False

@@ -5,11 +5,12 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from siegeleis import scalars
-from siegeleis.cli import EXIT_DOMAIN, EXIT_UNCERTIFIED, EXIT_UNSUPPORTED_PLACE, main
+from siegeleis.cli import EXIT_DOMAIN, EXIT_UNCERTIFIED, main
 
 
 def run(capsys, *argv):
@@ -45,12 +46,21 @@ def test_domain_error_exit(capsys):
     assert code == EXIT_DOMAIN and "primitive" in err
 
 
-def test_unsupported_place_exit(capsys):
-    code, _, err = run(capsys, "coeff", "-k", "5", "-c", "5:2", "1", "5", "25")
-    assert code == EXIT_UNSUPPORTED_PLACE and "closed form" in err
-    code, out, _ = run(capsys, "--precision", "128", "coeff", "-k", "5", "-c", "5:2",
-                       "--oracle", "allow", "1", "5", "25")
-    assert code == 0
+def test_coeff_takes_the_oracle_where_the_table_has_no_row(capsys):
+    # p = 5 at the order-4 character 5:2 has no K table row: K is the exact defining sum
+    code, out, err = run(capsys, "coeff", "-k", "5", "-c", "5:2", "1", "5", "25")
+    assert code == 0 and err == ""
+    rec = json.loads(out)
+    assert rec["value"] == "-34.081516300709365777,11.334033112854482284"
+    assert (rec["mode"], rec["notes"]) == ("numeric", "p=5:K-oracle(exact)")
+    # there is no --oracle option
+    for argv in (["coeff", "1", "5", "25"], ["expand", "--bound", "1"]):
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "-k", "5", "-c", "5:2", "--oracle", "allow"])
+        assert info.value.code == EXIT_DOMAIN and "unrecognized arguments: --oracle" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main([argv[0], "--help"])
+        assert "--oracle" not in capsys.readouterr().out
 
 
 def test_expand_stream(capsys):
@@ -133,21 +143,21 @@ def test_local_unramified(capsys):
 
 
 def test_local_K_dual(capsys):
-    code, out, _ = run(capsys, "local", "K", "-p", "3", "--chi", "quad", "-T", "1,0,9", "-s", "4")
+    code, out, _ = run(capsys, "local", "K", "-p", "3", "-T", "1,0,9", "-s", "4")
     rec = json.loads(out)
     assert code == 0 and rec["closed_form"] == rec["oracle"]
     # n_p comes from the character, so there is no --np option
     with pytest.raises(SystemExit) as info:
-        main(["local", "K", "-p", "3", "--chi", "quad", "-T", "1,0,9", "--np", "2"])
+        main(["local", "K", "-p", "3", "-T", "1,0,9", "--np", "2"])
     assert info.value.code == EXIT_DOMAIN and "--np" in capsys.readouterr().err
 
 
 def test_local_quad_needs_an_odd_prime(capsys):
     # there is no ramified quadratic character of conductor 2 (nor at a composite p)
     for which, p in (("K", "2"), ("ramified", "2"), ("K", "15")):
-        code, out, err = run(capsys, "local", which, "--chi", "quad", "-p", p, "-T", "1,2,4")
+        code, out, err = run(capsys, "local", which, "-p", p, "-T", "1,2,4")
         assert code == EXIT_DOMAIN and out == ""
-        assert err.startswith("error:") and "--chi quad needs an odd prime" in err
+        assert err.startswith("error:") and "needs an odd prime" in err
 
 
 def test_local_K_oracle_output_is_stable(capsys):
@@ -162,7 +172,7 @@ def test_local_K_oracle_output_is_stable(capsys):
          '"oracle_tail": "0"}\n'),
     ]
     for args, want in cases:
-        code, out, _ = run(capsys, "local", "K", "--chi", "x", "-s", "5", *args)
+        code, out, _ = run(capsys, "local", "K", "-s", "5", *args)
         assert code == 0 and out == want
 
 
@@ -190,7 +200,7 @@ def test_local_ramified_reads_no_K_at_unit_r(capsys):
     # as in the a(T) assembly, the factor at p not dividing r takes no K
     for label, p, form in (("5:2", "5", "1,1,25"), ("5:2", "5", "2,3,25"), ("3:2", "3", "1,1,9"),
                            ("7:3", "7", "1,1,49")):
-        code, out, _ = run(capsys, "local", "ramified", "--chi", "x", "-c", label, "-p", p, "-T", form, "-s", "5")
+        code, out, _ = run(capsys, "local", "ramified", "-c", label, "-p", p, "-T", form, "-s", "5")
         assert code == 0, (label, form)
         rec = json.loads(out)
         assert float(rec["difference"]) < 1e-60 and _complex(rec["closed_form"]) != 0, (label, form)
@@ -204,16 +214,15 @@ def test_local_c_selects_the_character(capsys):
     code, out, _ = run(capsys, *args, "-c", "5:2")
     assert code == 0
     assert _complex(json.loads(out)["closed_form"]) == pytest.approx(-1.2606191768e-8 + 2.9759181947e-9j)
-    # --chi with any value but quad defers to -c, as before
-    code, same, _ = run(capsys, *args, "--chi", "x", "-c", "5:2")
-    assert code == 0 and same == out
     # without -c the quadratic character mod 5 is used
     code, quad, _ = run(capsys, *args)
     assert code == 0 and _complex(json.loads(quad)["closed_form"]) == pytest.approx(1.8317868872e-8)
-    # -c with an explicit --chi quad, or --chi other than quad without -c, is a usage error
-    for extra in (("--chi", "quad", "-c", "5:2"), ("--chi", "x")):
-        code, out, err = run(capsys, *args, *extra)
-        assert code == EXIT_DOMAIN and out == "" and err.startswith("error:"), extra
+    # there is no --chi option (nor is it read as an abbreviation of --chip)
+    for value in ("quad", "1"):
+        with pytest.raises(SystemExit) as info:
+            main([*args, "--chi", value])
+        assert info.value.code == EXIT_DOMAIN
+        assert f"unrecognized arguments: --chi {value}" in capsys.readouterr().err
 
 
 def test_expand_never_imports_the_oracles():
@@ -258,12 +267,12 @@ def test_precision_flag_rejects_bad_values(capsys, keep_precision):
 
 
 def test_main_restores_the_working_precision(capsys, keep_precision):
-    # on success, on a domain error and on an unsupported place alike
+    # on success, on the oracle route and on a domain error alike
     bits = scalars.get_precision()
     for argv, want in (
         (["--precision", "128", "coeff", "-k", "4", "-c", "1:1", "1", "0", "0"], 0),
+        (["--precision", "128", "coeff", "-k", "5", "-c", "5:2", "1", "5", "25"], 0),
         (["--precision", "128", "coeff", "-k", "3", "-c", "1:1", "1", "0", "0"], EXIT_DOMAIN),
-        (["--precision", "128", "coeff", "-k", "5", "-c", "5:2", "1", "5", "25"], EXIT_UNSUPPORTED_PLACE),
     ):
         assert main(argv) == want
         assert scalars.get_precision() == bits, argv
@@ -309,6 +318,35 @@ def test_verify_bootstrap_draw_outside_the_group_fails(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "bootstrap-oracle", "--seed", "99")
     assert code == 1 and err == ""
     assert "[FAIL] bootstrap-oracle" in out and "not in the similitude group" in out
+
+
+def test_local_checks_its_domain(capsys):
+    # a pole of the factor, a p that is not prime, a residue depth below 1:
+    # each an error line and exit 2, not a traceback or a value
+    for argv in (
+        "unramified -p 5 -e 0 -f 0 -L 1 -s 1 --chip 1",
+        "unramified -p 1 -e 0 -f 0 -L 1 -s 4 --chip 1",
+        "unramified -p 4 -e 0 -f 0 -L 1 -s 4 --chip 1",
+        "volume -p 0 -i 1 -j 0 -T 1,0,1",
+        "volume -p 4 -i 0 -j 0 -T 1,0,1",
+        "volume -p 3 -i 1 -j 0 -T 1,0,1 -B -1",
+        "volume -p 3 -i 0 -j 0 -T 1,0,1 -B 0",
+    ):
+        code, out, err = run(capsys, "local", *argv.split())
+        assert code == EXIT_DOMAIN and out == "" and err.startswith("error:"), argv
+    code, out, _ = run(capsys, "local", "volume", "-p", "3", "-i", "0", "-j", "0", "-T", "1,0,1", "-B", "1")
+    assert code == 0 and json.loads(out)["value"] == "2/3"
+
+
+def test_verify_names_a_missed_time_budget(capsys, monkeypatch):
+    # n1-classical passes its checks but reads 2 s on a clock that says so
+    from siegeleis import verify
+
+    clock = iter([0.0, 2.0])
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    code, out, _ = run(capsys, "verify", "n1-classical")
+    assert code == 1 and "[FAIL] n1-classical" in out
+    assert "over the time budget: 2.00s, budget 1s" in out
 
 
 def test_local_K_below_the_support_is_a_domain_error(capsys):

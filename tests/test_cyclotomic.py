@@ -378,11 +378,9 @@ def test_exact_scalar_algebra():
     assert Exact.sqrt(12) == Exact(Fraction(2), 0, 3)
     y = Exact.sqrt(3) * Exact.sqrt(3)
     assert y.is_rational() and y.as_fraction() == 3
-    z = Exact.pi(2) * Exact.of(Fraction(1, 6))  # zeta(2)
-    q = Exact.pi(4) / z / z * Exact.of(Fraction(1, 36))
+    z = Exact(Fraction(1), 2) * Exact.of(Fraction(1, 6))  # zeta(2)
+    q = Exact(Fraction(1), 4) / z / z * Exact.of(Fraction(1, 36))
     assert q.is_rational() and q.as_fraction() == 1
-    with pytest.raises(ValueError):
-        (Exact.pi(1) + Exact.of(1))
     with mp_workdps():
         val = to_mpc(Exact(Fraction(1, 2), 1, 2))  # pi sqrt(2) / 2
         assert abs(val - mpmath.pi * mpmath.sqrt(2) / 2) < mpmath.mpf(10) ** -40

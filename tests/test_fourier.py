@@ -104,39 +104,36 @@ def test_level3_rank1():
         assert abs(mpmath.mpc(rec.value).real) < mpmath.mpf(10) ** -40
 
 
-def test_level3_rank2_dual_K_routes():
-    spec = EisensteinSpec(5, ETA3)
-    with mp_workdps():
-        closed = coefficient(spec, HalfIntegralForm(1, 3, 9))
-        forced = coefficient(spec, HalfIntegralForm(1, 3, 9), oracle_policy="force")
-        assert abs(mpmath.mpc(closed.value) - mpmath.mpc(forced.value)) < mpmath.mpf(10) ** -30
-        assert any("K-closed-form" in s for s in closed.notes)
-        assert any("K-oracle" in s for s in forced.notes)
-
-
 def test_exact_zero_K_is_zero_record_on_both_routes():
     # an oracle K of exactly 0 gives a zero record, as a closed-form 0 does
     cases = [
-        ("5:2", 5, (1, 0, 25), "allow", "p=5:K-oracle(exact)"),
-        ("8:5", 4, (1, 8, 64), "allow", "p=2:K-oracle(exact)"),
-        ("3:2", 5, (1, 0, 9), "force", "p=3:K-oracle(exact)"),
-        ("3:2", 5, (1, 0, 9), "forbid", "p=3:K-closed-form"),
+        ("5:2", 5, (1, 0, 25), "p=5:K-oracle(exact)"),
+        ("8:5", 4, (1, 8, 64), "p=2:K-oracle(exact)"),
+        ("3:2", 5, (1, 0, 9), "p=3:K-closed-form"),
     ]
-    for label, k, nrm, policy, note in cases:
-        rec = coefficient(EisensteinSpec(k, DirichletCharacter.from_label(label)), HalfIntegralForm(*nrm), policy)
-        assert rec.is_zero() and rec.notes == [note], (label, nrm, policy)
+    for label, k, nrm, note in cases:
+        rec = coefficient(EisensteinSpec(k, DirichletCharacter.from_label(label)), HalfIntegralForm(*nrm))
+        assert rec.is_zero() and rec.notes == [note], (label, nrm)
         assert format_value(rec) == "0.0,0.0"
 
 
 def test_unsupported_place():
+    # by default K comes from the exact defining sum where the table has no
+    # row; "forbid" refuses exactly those places
     eta5 = DirichletCharacter(5, 2)  # order 4: no closed form for K at p = 5
     spec = EisensteinSpec(5, eta5)
     T = HalfIntegralForm(1, 5, 25)
     with pytest.raises(UnsupportedPlaceError) as info:
         coefficient(spec, T, oracle_policy="forbid")
     assert info.value.p == 5
-    rec = coefficient(spec, T, oracle_policy="allow")
-    assert rec.mode == "numeric"
+    rec = coefficient(spec, T)
+    assert rec.mode == "numeric" and rec.notes == ["p=5:K-oracle(exact)"]
+    assert coefficient(spec, T).value == rec.value
+    # a place with a table row, or one that reads no K, passes under "forbid"
+    for other, U in ((EisensteinSpec(5, ETA3), HalfIntegralForm(1, 3, 9)), (spec, HalfIntegralForm(1, 1, 25))):
+        assert coefficient(other, U, oracle_policy="forbid").value == coefficient(other, U).value
+    with pytest.raises(ValueError, match="oracle_policy"):
+        coefficient(spec, T, oracle_policy="force")
 
 
 def test_expand_determinism_and_bounds():
@@ -166,7 +163,7 @@ def test_mp_prec_unchanged():
     with mpmath.workprec(61):
         expand(spec, 10)
         assert mpmath.mp.prec == 61
-        coefficient(spec, HalfIntegralForm(1, 3, 9), oracle_policy="force")
+        coefficient(EisensteinSpec(5, DirichletCharacter(5, 2)), HalfIntegralForm(1, 5, 25))
         assert mpmath.mp.prec == 61
 
 
@@ -259,12 +256,12 @@ def test_quadratic_reality():
     with mp_workdps():
         tol = mpmath.mpf(2) ** (-96)
         for T in (HalfIntegralForm(1, 5, 25), HalfIntegralForm(1, 0, 25), HalfIntegralForm(2, 5, 50)):
-            rec = coefficient(spec5, T, oracle_policy="allow")
+            rec = coefficient(spec5, T)
             if rec.is_zero():
                 continue
             assert abs(mpmath.mpc(rec.value).imag) < tol, (T, rec.value)
         for T in (HalfIntegralForm(1, 3, 9), HalfIntegralForm(1, 1, 9), HalfIntegralForm(2, 3, 18)):
-            rec = coefficient(spec3, T, oracle_policy="allow")
+            rec = coefficient(spec3, T)
             if rec.is_zero():
                 continue
             assert abs(mpmath.mpc(rec.value).real) < tol, (T, rec.value)
@@ -296,8 +293,8 @@ def test_sign_automorphy():
             spec = EisensteinSpec(k, DirichletCharacter.from_label(label))
             for nrm in forms:
                 T = HalfIntegralForm(*nrm)
-                plus = coefficient(spec, T, oracle_policy="allow")
-                minus = coefficient(spec, HalfIntegralForm(T.n, -T.r, T.m), oracle_policy="allow")
+                plus = coefficient(spec, T)
+                minus = coefficient(spec, HalfIntegralForm(T.n, -T.r, T.m))
                 assert plus.mode == "numeric" and plus.notes == minus.notes, (label, T)
                 assert abs(mpmath.mpc(minus.value) - (-1) ** k * mpmath.mpc(plus.value)) < tol, (label, T)
         spec4 = EisensteinSpec(4, TRIV)
@@ -386,7 +383,7 @@ def test_local_factor_assembly_matches_global_gauss_sum_formula():
         for eta in primitive_characters_mod(N):
             spec = _spec_for(eta)
             for T in _small_forms(N, 40):
-                rec = coefficient(spec, T, oracle_policy="allow")
+                rec = coefficient(spec, T)
                 want, notes = _global_gauss_sum_rank2(spec, T)
                 assert rec.notes == notes, (eta.label, T)
                 if want is None:
@@ -431,8 +428,8 @@ def test_gamma0_invariance(label, pick, word):
         U_T, sign = g(U_T, spec.N)
         det *= sign
     assert U_T.delta == T.delta
-    base = coefficient(spec, T, oracle_policy="allow")
-    moved = coefficient(spec, U_T, oracle_policy="allow")
+    base = coefficient(spec, T)
+    moved = coefficient(spec, U_T)
     assert (moved.mode, moved.notes) == (base.mode, base.notes)
     if base.mode != "numeric":
         assert moved.value == det**spec.k * base.value

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -22,8 +23,9 @@ from siegeleis.localfactors import (
     curve_count_ap,
     curve_count_ap_naive,
     curve_count_ap_tilde,
-    epsilon_factor,
+    epsilon_exact_parts,
     h_tilde,
+    ramified_K,
     ramified_local_factor,
     unramified_local_factor,
 )
@@ -63,9 +65,23 @@ def test_h_tilde_multiplicative():
         pairs += 1
 
 
+@lru_cache(maxsize=None)
+def _h_sum(eta, s, q):
+    """sum_(h | q) eta^-2(h) h^(2s-3), the inner sum of H~, tabulated per (eta, s, q)."""
+    total = Fraction(0)
+    for h in divisors(q):
+        vh = eta.inverse_value(h)
+        if vh:
+            total = total + (vh * vh) * Fraction(h) ** (2 * s - 3)
+    return total
+
+
 def _h_tilde_reference(D, s, eta, e, f):
     """The triple divisor sum as written in the definition of H~ (the former
-    `h_tilde` body): sum over d | e, squarefree g | f/d and h | f/(dg)."""
+    `h_tilde` body): sum over d | e, squarefree g | f/d and h | f/(dg).
+
+    The inner sum over h depends only on f/(dg), so it is read from the
+    table `_h_sum` instead of being summed again for every (d, g)."""
     total = Fraction(0)
     for d in divisors(e):
         vd = eta.inverse_value(d)
@@ -75,13 +91,8 @@ def _h_tilde_reference(D, s, eta, e, f):
             mu, chg, vg = moebius(g), kronecker_symbol(D, g), eta.inverse_value(g)
             if mu == 0 or chg == 0 or not vg:
                 continue
-            inner = Fraction(0)
-            for h in divisors(f // (d * g)):
-                vh = eta.inverse_value(h)
-                if vh:
-                    inner = inner + (vh * vh) * Fraction(h) ** (2 * s - 3)
             term = (vd * vg) * (mu * chg * Fraction(d) ** (s - 1) * Fraction(g) ** (s - 2))
-            total = total + term * inner
+            total = total + term * _h_sum(eta, s, f // (d * g))
     return total
 
 
@@ -115,6 +126,16 @@ def test_unramified_guards():
         GoodPlaceInput(3, Fraction(1), 2, 0, 0, 4)
     with pytest.raises(ValueError):
         GoodPlaceInput(3, Fraction(1), 1, 2, 1, 4)
+    # p must be prime
+    for p in (-3, 0, 1, 4, 6, 9):
+        with pytest.raises(ValueError, match="prime"):
+            GoodPlaceInput(p, Fraction(1), 1, 0, 0, 4)
+    # the pole 1 - L chi_p(p) p^(1-s) = 0, which needs s = 1 and L chi_p(p) = 1
+    for L, chip in ((1, 1), (-1, -1)):
+        with pytest.raises(ValueError, match="pole"):
+            GoodPlaceInput(5, Fraction(chip), L, 0, 0, 1)
+    for L, chip, s in ((1, -1, 1), (0, 1, 1), (1, 1, 2)):
+        unramified_local_factor(GoodPlaceInput(5, Fraction(chip), L, 0, 0, s))
 
 
 def test_curve_counts():
@@ -195,6 +216,27 @@ def test_K_table_vs_oracle_grid():
                 assert k_oracle(T, chi, s) == (res.value, 0), (p, T, s, res.value)
 
 
+def test_ramified_K_route_per_place():
+    # one rule: no K at p not dividing r or where v(m) < 2 n_p, the table where
+    # it has a row, the exact defining sum everywhere else
+    from siegeleis.oracle import k_oracle
+
+    chi3, chi9 = chi_for(3), local_component(DirichletCharacter(9, 2), 3)
+    assert ramified_K(RamifiedPlaceInput(3, chi3, HalfIntegralForm(1, 1, 9), 4)) == (None, "p=3:unit")
+    assert ramified_K(RamifiedPlaceInput(3, chi9, HalfIntegralForm(1, 3, 3), 4)) == (None, "p=3:zero")
+    cases = [
+        (3, chi3, (1, 3, 27), "p=3:K-closed-form"),
+        (3, chi3, (1, 0, 9), "p=3:K-closed-form"),
+        (5, local_component(DirichletCharacter(5, 2), 5), (1, 5, 25), "p=5:K-oracle(exact)"),
+        (2, local_component(DirichletCharacter(8, 5), 2), (1, 8, 64), "p=2:K-oracle(exact)"),
+        (3, chi9, (1, 3, 81), "p=3:K-oracle(exact)"),
+    ]
+    for p, chi, nrm, note in cases:
+        T = HalfIntegralForm(*nrm)
+        K, got = ramified_K(RamifiedPlaceInput(p, chi, T, 5))
+        assert got == note and K == k_oracle(T, chi, 5)[0], (p, nrm)
+
+
 def test_ramified_vanishing():
     # v(m) < 2 n_p kills the factor
     chi = chi_for(3)
@@ -203,14 +245,13 @@ def test_ramified_vanishing():
 
 
 def test_ramified_unit_r_branch():
-    # v(r) = 0: value p^(n_p(5/2-2s)) eps chi(-r), K unused
+    # v(r) = 0: value p^(n_p(2-2s)) (1 - 2 zeta_6) chi(-r), K unused; at the
+    # character mod 3, p^(n_p/2) epsilon = 1 - 2 zeta_6 = -i sqrt(3)
     chi = chi_for(3)
     T = HalfIntegralForm(1, 1, 9)
     closed = ramified_local_factor(RamifiedPlaceInput(3, chi, T, 4), None)
-    with mp_workdps():
-        eps = epsilon_factor(chi)
-        want = mpmath.mpf(3) ** (mpmath.mpf(5) / 2 - 8) * eps * to_mpc(chi.value(-1))
-        assert abs(to_mpc(closed) - want) < mpmath.mpf(10) ** -40
+    part = 1 - 2 * Cyclotomic.zeta_power(6, 1)
+    assert closed == Fraction(3) ** (2 - 8) * part * chi.value(-1).as_scalar()
 
 
 def test_ramified_vs_oracle():
@@ -230,29 +271,31 @@ def test_ramified_vs_oracle():
 
 
 def test_epsilon_factor():
-    with mp_workdps():
-        # quadratic character mod 3, psi = e^(-2 pi i {x}): epsilon = -i
-        chi3 = chi_for(3)
-        assert abs(epsilon_factor(chi3) - mpmath.mpc(0, -1)) < mpmath.mpf(10) ** -40
-        # |epsilon| = 1 for quadratic chi_p, p <= 20
-        for p in (3, 5, 7, 11, 13, 17, 19):
-            eps = epsilon_factor(chi_for(p))
-            assert abs(abs(eps) - 1) < mpmath.mpf(10) ** -40
-        with pytest.raises(ValueError):
-            epsilon_factor(local_component(DirichletCharacter(1, 1), 3))
+    # epsilon(1/2, chi_p, psi_p) = part / p^(n_p/2), with psi = e^(-2 pi i {x});
+    # at the character mod 3 it is -i, so part = 1 - 2 zeta_6 = -i sqrt(3)
+    part3, n_p = epsilon_exact_parts(chi_for(3))
+    assert n_p == 1 and part3 == 1 - 2 * Cyclotomic.zeta_power(6, 1)
+    # |epsilon| = 1: part conj(part) = p^(n_p), for quadratic chi_p, p <= 20,
+    # and for every local component of a primitive character mod N <= 24
+    locals_ = [chi_for(p) for p in (3, 5, 7, 11, 13, 17, 19)]
+    locals_ += [local_component(eta, p) for N in range(3, 25) for eta in primitive_characters_mod(N)
+                for p, _ in factorize(N)]
+    for chi in locals_:
+        part, n_p = epsilon_exact_parts(chi)
+        assert part * part.conjugate() == chi.p**n_p, (chi.p, n_p)
+    with pytest.raises(ValueError):
+        epsilon_exact_parts(local_component(DirichletCharacter(1, 1), 3))
 
 
 def test_epsilon_global_product():
-    # prod over p | N of eps(1/2, chi_p, psi_p) = (-1)^k G(eta) / sqrt(N)
-    with mp_workdps():
-        for N in (3, 4, 5, 7, 8, 9, 11, 12, 15, 16, 20, 21, 24):
-            for eta in primitive_characters_mod(N):
-                prod = mpmath.mpc(1)
-                for p, _ in factorize(N):
-                    prod *= epsilon_factor(local_component(eta, p))
-                k = 4 if parity(eta) == 0 else 5
-                want = (-1) ** k * to_mpc(gauss_sum(eta)) / mpmath.sqrt(N)
-                assert abs(prod - want) < mpmath.mpf(10) ** -40
+    # prod over p | N of eps(1/2, chi_p, psi_p) = (-1)^k G(eta) / sqrt(N), so
+    # the exact parts multiply to eta(-1) G(eta), as eta(-1) = (-1)^k
+    for N in (3, 4, 5, 7, 8, 9, 11, 12, 15, 16, 20, 21, 24):
+        for eta in primitive_characters_mod(N):
+            prod = Fraction(1)
+            for p, _ in factorize(N):
+                prod = epsilon_exact_parts(local_component(eta, p))[0] * prod
+            assert prod == eta(-1).as_scalar() * gauss_sum(eta), eta.label
 
 
 def _local_gauss_sum_reference(chi) -> Cyclotomic:

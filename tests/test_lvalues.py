@@ -15,7 +15,6 @@ from siegeleis.lvalues import (
     generalized_bernoulli,
     l_quadratic_exact,
     zeta,
-    zeta_series_tail_bound,
 )
 from siegeleis.scalars import Exact, get_precision, mp_workdps, set_precision, to_mpc
 
@@ -40,16 +39,6 @@ def test_zeta_numeric_vs_exact():
         for k in (2, 4, 6, 8, 10, 20):
             assert abs(to_mpc(zeta(k)) - mpmath.zeta(k)) < mpmath.mpf(10) ** -50
         assert abs(zeta(3) - mpmath.zeta(3)) == 0  # same code path
-
-
-def test_series_tail_bound():
-    # truncation at n = T contributes < T^(1-k)/(k-1)
-    with mp_workdps():
-        for k in (2, 3, 4):
-            for terms in (10, 100, 1000):
-                partial, bound = zeta_series_tail_bound(k, terms)
-                err = abs(mpmath.zeta(k) - partial)
-                assert err < float(bound)
 
 
 def test_dirichlet_l_catalan():

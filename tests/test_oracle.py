@@ -886,6 +886,16 @@ def test_residue_counts_by_classes_match_enumeration():
 def test_volume_depth_guard():
     with pytest.raises(UncertifiedOracleError):
         volume_R(5, 0, HalfIntegralForm(729, 0, 729), 3, 4)
+    # p must be prime and the residue depth at least 1 (at B = 0 no residue
+    # would be counted, and the volume would read 0)
+    T = HalfIntegralForm(1, 0, 1)
+    for p in (0, 1, 4, 6):
+        with pytest.raises(ValueError, match="prime"):
+            volume_R(0, 0, T, p, 8)
+    for B in (0, -1):
+        with pytest.raises(ValueError, match="depth"):
+            volume_R(0, 0, T, 3, B)
+    assert {volume_R(0, 0, T, 3, B) for B in (1, 2, 8)} == {Fraction(2, 3)}
 
 
 def test_volume_exact_vs_counting():
